@@ -185,8 +185,7 @@ pub fn clear_connect() {
     mesh.teardown();
 }
 
-/// `true` while a `--connect` route is armed (the engine disables the
-/// in-process lane phase then: lane packs would bypass the server).
+/// `true` while a `--connect` route is armed.
 pub fn connect_active() -> bool {
     mesh_slot()
         .lock()

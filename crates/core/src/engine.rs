@@ -391,7 +391,7 @@ pub fn run_suite_supervised(
 
     let ckpt_append = Mutex::new(());
     // Serialized crash-consistent checkpoint append with a once-per-suite
-    // degradation warning — shared by the lane phase and the worker pool.
+    // degradation warning.
     let append_ckpt = |idx: usize, result: &SimResult| {
         if let Some((path, key, _)) = &checkpoint {
             let _guard = ckpt_append.lock().unwrap_or_else(PoisonError::into_inner);
@@ -412,69 +412,6 @@ pub fn run_suite_supervised(
         }
     };
 
-    // Lane phase: faultless in-process runs advance several-at-a-time
-    // through the SoA lane packs. Only eligible work goes here — fault
-    // injection, process isolation, and the `RESTUNE_KERNEL=off` escape
-    // hatch all need the per-run machinery of the worker pool below. Lane
-    // results are bit-exact with the serial kernel, and any run a pack
-    // abandons (timeout, integration fault, shutdown) simply leaves its
-    // slot unfilled for the pool to supervise properly.
-    let lane_width = crate::lanes::lane_count();
-    let lane_eligible = lane_width > 1
-        && crate::kernel::fused_enabled()
-        && !plan.is_enabled()
-        && crate::isolation::isolation_mode() == crate::isolation::IsolationMode::Thread
-        && !crate::client::connect_active();
-    if lane_eligible {
-        let jobs: Vec<usize> = (0..profiles.len())
-            .filter(|&i| slots[i].get().is_none())
-            .collect();
-        if jobs.len() > 1 {
-            let next_job = AtomicUsize::new(0);
-            let packs = worker_count(jobs.len().div_ceil(lane_width));
-            std::thread::scope(|scope| {
-                for _ in 0..packs {
-                    scope.spawn(|| {
-                        let claim = || {
-                            if crate::isolation::shutdown_requested() {
-                                return None;
-                            }
-                            let j = next_job.fetch_add(1, Ordering::Relaxed);
-                            jobs.get(j).map(|&idx| (idx, &profiles[idx]))
-                        };
-                        let mut on_done = |idx: usize, inst: InstrumentedRun| {
-                            let metrics = RunMetrics::from_instrumented(
-                                technique.name(),
-                                &inst,
-                                base_cache_stats(),
-                            );
-                            crate::obs::counter_add("engine.lane_runs", 1);
-                            append_ckpt(idx, &inst.result);
-                            let stored = slots[idx].set(Ok((inst.result, metrics))).is_ok();
-                            assert!(stored, "each lane job is claimed exactly once");
-                        };
-                        // A panicking lane pack (a CPU-model bug, a poisoned
-                        // cache) must not take the suite down: unfinished
-                        // jobs fall through to the supervised pool.
-                        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            crate::lanes::run_pack(
-                                technique,
-                                sim,
-                                sup.timeout,
-                                lane_width,
-                                &claim,
-                                &mut on_done,
-                            );
-                        }));
-                        if caught.is_err() {
-                            crate::obs::counter_add("engine.lane_pack_panics", 1);
-                        }
-                    });
-                }
-            });
-        }
-    }
-
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..worker_count(profiles.len()) {
@@ -484,7 +421,7 @@ pub fn run_suite_supervised(
                     return;
                 };
                 if slots[idx].get().is_some() {
-                    continue; // replayed from the checkpoint or a lane pack
+                    continue; // replayed from the checkpoint
                 }
                 // Graceful shutdown: once a signal arrives, stop claiming
                 // work — unclaimed apps become `interrupted` slots, the

@@ -1,10 +1,9 @@
 //! Shared parsing for the `RESTUNE_*` tuning knobs.
 //!
-//! `RESTUNE_WORKERS`, `RESTUNE_BATCH`, and `RESTUNE_LANES` all follow the
-//! same contract: a positive integer is honored, anything else warns once
-//! per knob on stderr (through [`crate::obs::warn`], so the warning also
-//! lands in the trace stream and warn counters) and falls back to the
-//! knob's default. [`positive_usize`] is that contract in one place; the
+//! `RESTUNE_WORKERS` and `RESTUNE_BATCH` follow the same contract: a
+//! positive integer is honored, anything else warns once per knob on stderr
+//! (through [`crate::obs::warn`], so the warning also lands in the trace
+//! stream and warn counters) and falls back to the knob's default. [`positive_usize`] is that contract in one place; the
 //! callers keep their own defaults, clamps, and warn categories.
 
 use std::collections::HashSet;

@@ -8,13 +8,13 @@
 //! * the base machine reads nothing back, pipeline damping reads only the
 //!   previous cycle's pipeline events, and resonance tuning reads only the
 //!   previous cycle's *current* — none of them observe the supply voltage.
-//!   For these lanes the kernel runs controller/CPU/power serially while
+//!   For these techniques the kernel runs controller/CPU/power serially while
 //!   accumulating per-cycle current into a flat `f64` buffer, then flushes
 //!   whole batches through [`PowerSupply::try_tick_batch`], whose step size
 //!   and circuit coefficients are prepared once per flush
 //!   ([`rlc::PreparedStep`]);
 //! * the voltage-sensor technique feeds the supply voltage back into the
-//!   next cycle's controller decision, so its lane flushes every cycle —
+//!   next cycle's controller decision, so it flushes every cycle —
 //!   the same code path, with a batch of one.
 //!
 //! Batches are rescheduling, not approximation: every stage runs the same
@@ -25,6 +25,14 @@
 //! [`workloads::shared_stream`], and the CPU uses the event-driven
 //! scheduler ([`cpusim::ScanMode::Event`]).
 //!
+//! Two per-run costs are skipped where they cannot change a result. The
+//! cache warm-up walk touches a layout derived from the [`CpuConfig`]
+//! alone, so each thread keeps the warmed cache image of the last config it
+//! ran and clones it into every new core instead of walking again. And a
+//! cycle's [`CycleEvents`] are buffered for the deferred per-cycle records
+//! only when the caller reads those records (a live trace, or
+//! [`crate::run_observed`]).
+//!
 //! The batch length comes from `RESTUNE_BATCH` (default
 //! [`DEFAULT_BATCH`]) and is deliberately *not* part of [`SimConfig`]: it
 //! cannot change results, so it must not enter checkpoint or baseline
@@ -32,18 +40,20 @@
 //! at another. `RESTUNE_KERNEL=off` routes runs through the reference loop
 //! instead.
 
+use std::cell::RefCell;
 use std::time::Instant;
 
-use cpusim::{Cpu, CycleEvents, PipelineControls};
+use cpusim::cache::CacheHierarchy;
+use cpusim::{Cpu, CpuConfig, CycleEvents, PipelineControls};
 use powermodel::{EnergyMeter, PowerModel};
 use rlc::units::{Amps, Volts};
 use rlc::PowerSupply;
-use workloads::{shared_stream, stream::warm_caches, WorkloadProfile};
+use workloads::{shared_stream, stream::warm_caches, SharedStream, WorkloadProfile};
 
 use crate::fault::{FaultRuntime, FaultSignal};
 use crate::sim::{
     effective_power_config, finish_run, Controller, CycleRecord, PhaseTimings, SimConfig,
-    SimResult, Technique, WATCHDOG_CHECK_MASK,
+    SimResult, Technique, NO_OBSERVER, WATCHDOG_CHECK_MASK,
 };
 
 /// Cycles per supply flush when `RESTUNE_BATCH` is unset.
@@ -106,7 +116,7 @@ pub fn run_on_path(
                 technique,
                 sim,
                 batch_size(),
-                |_| {},
+                NO_OBSERVER,
                 None,
                 &mut faults,
                 None,
@@ -114,8 +124,16 @@ pub fn run_on_path(
             .0
         }
         EnginePath::Reference => {
-            crate::sim::run_core_reference(profile, technique, sim, |_| {}, None, &mut faults, None)
-                .0
+            crate::sim::run_core_reference(
+                profile,
+                technique,
+                sim,
+                NO_OBSERVER,
+                None,
+                &mut faults,
+                None,
+            )
+            .0
         }
     }
 }
@@ -136,11 +154,33 @@ pub fn run_with_batch(
         technique,
         sim,
         batch.clamp(1, MAX_BATCH),
-        |_| {},
+        NO_OBSERVER,
         None,
         &mut faults,
         None,
     )
+}
+
+thread_local! {
+    /// The warmed cache image of the last [`CpuConfig`] this thread ran.
+    static WARMED: RefCell<Option<(CpuConfig, CacheHierarchy)>> = const { RefCell::new(None) };
+}
+
+/// A fresh core for `profile` whose caches hold exactly what
+/// [`warm_caches`] leaves: the walk only touches a config-derived layout
+/// and then resets the statistics, so its image is cloned from the
+/// thread's memo when the config matches, and walked (and memoized)
+/// otherwise.
+fn warmed_cpu(profile: &WorkloadProfile, sim: &SimConfig) -> Cpu<SharedStream> {
+    let mut cpu = Cpu::new(sim.cpu, shared_stream(profile, sim.instructions));
+    WARMED.with_borrow_mut(|memo| match memo {
+        Some((config, image)) if *config == sim.cpu => cpu.caches_mut().clone_from(image),
+        _ => {
+            warm_caches(&mut cpu);
+            *memo = Some((sim.cpu, cpu.caches().clone()));
+        }
+    });
+    cpu
 }
 
 /// A cycle simulated but not yet flushed through the supply: everything a
@@ -156,21 +196,21 @@ struct PendingCycle {
 /// The fused batched simulation loop. Same contract as the reference loop
 /// in [`crate::sim`]: returns the outcome and detector-event count;
 /// watchdog expiry and surfaced integration errors unwind with a typed
-/// [`FaultSignal`].
+/// [`FaultSignal`]. Per-cycle records are built only when there is an
+/// `observer` to read them.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_fused<F: FnMut(&CycleRecord)>(
     profile: &WorkloadProfile,
     technique: &Technique,
     sim: &SimConfig,
     flush_batch: usize,
-    mut observer: F,
+    mut observer: Option<F>,
     mut timers: Option<&mut PhaseTimings>,
     faults: &mut FaultRuntime,
     deadline: Option<Instant>,
 ) -> (SimResult, u64) {
     let power_cfg = effective_power_config(technique, sim);
-    let mut cpu = Cpu::new(sim.cpu, shared_stream(profile, sim.instructions));
-    warm_caches(&mut cpu);
+    let mut cpu = warmed_cpu(profile, sim);
     let mut model = PowerModel::new(power_cfg, sim.cpu);
     let idle = power_cfg.idle_current;
     let mut supply = PowerSupply::new(sim.supply, sim.clock, idle);
@@ -188,7 +228,8 @@ pub(crate) fn run_fused<F: FnMut(&CycleRecord)>(
 
     let mut currents: Vec<f64> = Vec::with_capacity(flush_every);
     let mut noises: Vec<f64> = Vec::with_capacity(flush_every);
-    let mut pending: Vec<PendingCycle> = Vec::with_capacity(flush_every);
+    let observe = observer.is_some();
+    let mut pending: Vec<PendingCycle> = Vec::with_capacity(if observe { flush_every } else { 0 });
 
     let mut last_current = idle;
     let mut last_noise = Volts::new(0.0);
@@ -217,7 +258,7 @@ pub(crate) fn run_fused<F: FnMut(&CycleRecord)>(
         currents.clear();
         pending.clear();
         let base_cycle = cycles;
-        while pending.len() < flush_every
+        while currents.len() < flush_every
             && cpu.stats().committed < sim.instructions
             && cycles < sim.max_cycles
         {
@@ -262,42 +303,54 @@ pub(crate) fn run_fused<F: FnMut(&CycleRecord)>(
                 }
             }
             currents.push(amps);
-            pending.push(PendingCycle {
-                cycle: cycles,
-                current: amps,
-                event_count,
-                restricted: controls.is_restricted(),
-                events: ev,
-            });
+            if observe {
+                pending.push(PendingCycle {
+                    cycle: cycles,
+                    current: amps,
+                    event_count,
+                    restricted: controls.is_restricted(),
+                    events: ev,
+                });
+            }
             last_current = Amps::new(amps);
             last_events = ev;
             cycles += 1;
         }
 
         // Flush: one batched supply pass over the accumulated currents.
-        // The raw flush duration is accumulated undivided; report time
-        // scales the total down by SAMPLE_INTERVAL — the batch analogue of
-        // timing every 64th cycle, without the per-flush truncation that
-        // zeroes out sub-64ns flushes (every flush, for the sensor lane).
+        // A batch flush is timed whole and its raw duration accumulated
+        // undivided; report time scales the total down by SAMPLE_INTERVAL —
+        // the batch analogue of timing every 64th cycle, without the
+        // per-flush truncation that zeroes out short flushes. A one-cycle
+        // flush (the sensor technique) is a per-cycle supply step, so it is
+        // sampled like the reference loop's: timing every one of them would
+        // cost more than the step itself.
         noises.clear();
-        let t0 = timers.as_deref_mut().map(|_| Instant::now());
+        let per_cycle = flush_every == 1;
+        let timed = timers.is_some()
+            && (!per_cycle || base_cycle.is_multiple_of(PhaseTimings::SAMPLE_INTERVAL));
+        let t0 = timed.then(Instant::now);
         let flushed = supply.try_tick_batch(&currents, &mut noises);
         if let (Some(t0), Some(acc)) = (t0, timers.as_deref_mut()) {
-            acc.supply_flush += t0.elapsed();
+            if per_cycle {
+                acc.supply += t0.elapsed();
+            } else {
+                acc.supply_flush += t0.elapsed();
+            }
         }
-        let completed = match &flushed {
-            Ok(()) => pending.len(),
-            Err((k, _)) => *k,
-        };
-        for (p, &noise) in pending[..completed].iter().zip(&noises) {
-            observer(&CycleRecord {
-                cycle: p.cycle,
-                current: Amps::new(p.current),
-                noise: Volts::new(noise),
-                event_count: p.event_count,
-                restricted: p.restricted,
-                events: p.events,
-            });
+        // On a failed step `noises` holds only the completed cycles, so the
+        // zip stops at the failing one.
+        if let Some(observer) = observer.as_mut() {
+            for (p, &noise) in pending.iter().zip(&noises) {
+                observer(&CycleRecord {
+                    cycle: p.cycle,
+                    current: Amps::new(p.current),
+                    noise: Volts::new(noise),
+                    event_count: p.event_count,
+                    restricted: p.restricted,
+                    events: p.events,
+                });
+            }
         }
         if let Err((k, e)) = flushed {
             std::panic::panic_any(FaultSignal::numerical(e, base_cycle + k as u64));
@@ -352,6 +405,29 @@ mod tests {
     #[test]
     fn fused_matches_reference_for_damping() {
         paths_agree(Technique::Damping(DampingConfig::isca04_table5(0.5)));
+    }
+
+    #[test]
+    fn warmed_image_is_keyed_by_the_full_cpu_config() {
+        // Two machines differing only in L2 geometry, alternated on one
+        // thread: each fused run must match its own reference walk, so no
+        // run may start from the other machine's memoized cache image.
+        let p = spec2k::by_name("mcf").unwrap();
+        let big = SimConfig::isca04(20_000);
+        let mut small = big;
+        small.cpu.l2 = cpusim::CacheConfig {
+            size_bytes: 128 * 1024,
+            ways: 4,
+            ..big.cpu.l2
+        };
+        let mut fused = Vec::new();
+        for sim in [&big, &small, &big, &small] {
+            let got = run_on_path(&p, &Technique::Base, sim, EnginePath::Fused);
+            let want = run_on_path(&p, &Technique::Base, sim, EnginePath::Reference);
+            assert_eq!(got, want, "L2 of {} bytes", sim.cpu.l2.size_bytes);
+            fused.push(got);
+        }
+        assert_ne!(fused[0], fused[1], "the L2 change must matter");
     }
 
     #[test]

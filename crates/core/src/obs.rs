@@ -489,6 +489,12 @@ impl CycleTracer {
         }
     }
 
+    /// Whether this tracer records anything (tracing was on when it was
+    /// built); a dormant tracer ignores every [`CycleTracer::observe`].
+    pub fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
     /// Observes one simulated cycle.
     pub fn observe(&mut self, rec: &CycleRecord) {
         if !self.enabled {

@@ -196,14 +196,14 @@ pub struct PhaseTimings {
     /// Time in the Wattch-style power model.
     pub power: Duration,
     /// Time in the RLC supply integration (per-cycle sampled form, used by
-    /// the reference loop).
+    /// the reference loop and by the fused kernel's one-cycle flushes).
     pub supply: Duration,
     /// Raw (unsampled) wall time of the fused kernel's batched supply
     /// flushes. Accumulated undivided and scaled down by
     /// [`PhaseTimings::SAMPLE_INTERVAL`] only at report time: dividing each
     /// flush's `elapsed()` individually truncates to whole nanoseconds per
-    /// flush, which for every-cycle-flush runs (the sensor technique)
-    /// rounds most flushes to zero and undercounts the supply phase.
+    /// flush, which for short flushes rounds most of them to zero and
+    /// undercounts the supply phase.
     pub supply_flush: Duration,
     /// How many cycles were sampled (each contributes to all four phases).
     pub sampled_cycles: u64,
@@ -302,9 +302,13 @@ pub(crate) fn finish_run(
     (result, detector_events)
 }
 
+/// The observer argument for runs whose per-cycle records nobody reads.
+pub(crate) const NO_OBSERVER: Option<fn(&CycleRecord)> = None;
+
 /// The shared simulation entry behind [`run_observed`], [`run_instrumented`]
 /// and [`run_supervised`]: returns the outcome and the detector's event
-/// count.
+/// count. Per-cycle records go to `observer`; with none, the fused kernel
+/// skips building them.
 ///
 /// Dispatches to the fused batched kernel ([`crate::kernel`]) unless the
 /// `RESTUNE_KERNEL=off` escape hatch selects the per-cycle reference loop.
@@ -314,7 +318,7 @@ fn run_core<F: FnMut(&CycleRecord)>(
     profile: &WorkloadProfile,
     technique: &Technique,
     sim: &SimConfig,
-    observer: F,
+    observer: Option<F>,
     timers: Option<&mut PhaseTimings>,
     faults: &mut FaultRuntime,
     deadline: Option<Instant>,
@@ -350,7 +354,7 @@ pub(crate) fn run_core_reference<F: FnMut(&CycleRecord)>(
     profile: &WorkloadProfile,
     technique: &Technique,
     sim: &SimConfig,
-    mut observer: F,
+    mut observer: Option<F>,
     mut timers: Option<&mut PhaseTimings>,
     faults: &mut FaultRuntime,
     deadline: Option<Instant>,
@@ -435,14 +439,16 @@ pub(crate) fn run_core_reference<F: FnMut(&CycleRecord)>(
             }
         }
 
-        observer(&CycleRecord {
-            cycle: cycles,
-            current,
-            noise: out.noise,
-            event_count,
-            restricted: controls.is_restricted(),
-            events: ev,
-        });
+        if let Some(observer) = observer.as_mut() {
+            observer(&CycleRecord {
+                cycle: cycles,
+                current,
+                noise: out.noise,
+                event_count,
+                restricted: controls.is_restricted(),
+                events: ev,
+            });
+        }
 
         last_current = current;
         last_noise = out.noise;
@@ -475,7 +481,7 @@ pub fn run_observed<F: FnMut(&CycleRecord)>(
         profile,
         technique,
         sim,
-        observer,
+        Some(observer),
         None,
         &mut FaultRuntime::none(),
         None,
@@ -485,7 +491,16 @@ pub fn run_observed<F: FnMut(&CycleRecord)>(
 
 /// Runs one application under a technique.
 pub fn run(profile: &WorkloadProfile, technique: &Technique, sim: &SimConfig) -> SimResult {
-    run_observed(profile, technique, sim, |_| {})
+    run_core(
+        profile,
+        technique,
+        sim,
+        NO_OBSERVER,
+        None,
+        &mut FaultRuntime::none(),
+        None,
+    )
+    .0
 }
 
 /// Runs one application with observability enabled: the returned
@@ -504,7 +519,7 @@ pub fn run_instrumented(
         profile,
         technique,
         sim,
-        |_| {},
+        NO_OBSERVER,
         Some(&mut phases),
         &mut FaultRuntime::none(),
         None,
@@ -549,8 +564,8 @@ pub fn run_supervised(
 ) -> InstrumentedRun {
     // Observability: the tracer is a read-only observer over per-cycle
     // records the loop computes anyway, so a traced run stays bit-identical
-    // to an untraced one. When tracing is off it is dormant and the
-    // observer closure reduces to one branch per cycle.
+    // to an untraced one. When tracing is off it is dormant and the run
+    // gets no observer, so no per-cycle records are built.
     let mut tracer =
         crate::obs::CycleTracer::new(profile.name, technique.name(), sim.supply.noise_margin());
     crate::obs::note_armed_faults(profile.name, specs);
@@ -563,7 +578,9 @@ pub fn run_supervised(
         profile,
         technique,
         sim,
-        |rec| tracer.observe(rec),
+        tracer
+            .is_enabled()
+            .then_some(|rec: &CycleRecord| tracer.observe(rec)),
         Some(&mut phases),
         &mut faults,
         deadline,

@@ -13,7 +13,7 @@
 //!
 //! Execution routes through [`run_suite_supervised`], so sweeps inherit
 //! the whole supervision stack — watchdogs, retries, checkpoint/resume
-//! (an interrupted sweep resumes bit-identically), lane parallelism, and
+//! (an interrupted sweep resumes bit-identically), the worker pool, and
 //! `--connect` mesh offload — without any sweep-specific scheduling. Each
 //! (class, PDN) group finally reports its Pareto frontier over (violation
 //! cycles, slowdown, energy-delay); because every execution path is
@@ -525,7 +525,7 @@ impl SweepOutcome {
 
 /// Expands `spec` and executes every point, sharing individual runs
 /// through `store` and supervising suites with `policy` (so `--resume`
-/// checkpointing, watchdogs, fault plans, lanes, and `--connect` all
+/// checkpointing, watchdogs, fault plans, and `--connect` all
 /// apply). Emits `sweep-start` / `sweep-point` / `frontier-point` /
 /// `sweep-end` trace events and finishes with a store eviction pass.
 ///

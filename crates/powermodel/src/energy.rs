@@ -69,81 +69,6 @@ impl EnergyMeter {
     }
 }
 
-/// Per-lane energy accounting for the lane-parallel kernel: one shared
-/// `V`<sub>`dd`</sub>` · t_cycle` factor, flat per-lane joule/cycle arrays.
-///
-/// [`LaneMeters::record_chunk`] accumulates exactly as a per-lane
-/// [`EnergyMeter::record`] loop would — same values, same addition order —
-/// so [`LaneMeters::meter`] hands back an `EnergyMeter` bit-identical to
-/// one that metered the lane's cycles serially.
-#[derive(Debug, Clone)]
-pub struct LaneMeters {
-    vdd: Volts,
-    cycle_time: f64,
-    joules: Vec<f64>,
-    cycles: Vec<u64>,
-}
-
-impl LaneMeters {
-    /// Creates `lanes` zeroed meters sharing one `vdd`/`clock`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clock` or `vdd` is not finite and positive (as
-    /// [`EnergyMeter::new`]).
-    pub fn new(vdd: Volts, clock: Hertz, lanes: usize) -> Self {
-        let proto = EnergyMeter::new(vdd, clock);
-        Self {
-            vdd,
-            cycle_time: proto.cycle_time,
-            joules: vec![0.0; lanes],
-            cycles: vec![0; lanes],
-        }
-    }
-
-    /// Number of lanes.
-    pub fn lanes(&self) -> usize {
-        self.joules.len()
-    }
-
-    /// Records one cycle per element of `currents` (amps) against lane `k`,
-    /// in order — bit-identical to calling [`EnergyMeter::record`] per
-    /// element.
-    pub fn record_chunk(&mut self, k: usize, currents: &[f64]) {
-        let factor_v = self.vdd.volts();
-        let t = self.cycle_time;
-        let mut j = self.joules[k];
-        for &amps in currents {
-            j += amps * factor_v * t;
-        }
-        self.joules[k] = j;
-        self.cycles[k] += currents.len() as u64;
-    }
-
-    /// Zeroes lane `k` for its next occupant.
-    pub fn reset_lane(&mut self, k: usize) {
-        self.joules[k] = 0.0;
-        self.cycles[k] = 0;
-    }
-
-    /// Swaps lanes `a` and `b` (lane-pack compaction).
-    pub fn swap_lanes(&mut self, a: usize, b: usize) {
-        self.joules.swap(a, b);
-        self.cycles.swap(a, b);
-    }
-
-    /// Lane `k` as a standalone [`EnergyMeter`] carrying its exact
-    /// accumulated state.
-    pub fn meter(&self, k: usize) -> EnergyMeter {
-        EnergyMeter {
-            vdd: self.vdd,
-            cycle_time: self.cycle_time,
-            joules: self.joules[k],
-            cycles: self.cycles[k],
-        }
-    }
-}
-
 /// Relative energy and energy-delay of a technique run against a base run
 /// *for the same committed instruction count*.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -254,45 +179,5 @@ mod tests {
     fn relative_cost_requires_base() {
         let empty = meter();
         let _ = RelativeCost::from_meters(&empty, &empty.clone());
-    }
-
-    #[test]
-    fn lane_meters_match_serial_meters_bit_exactly() {
-        let mut lanes = LaneMeters::new(Volts::new(1.0), Hertz::from_giga(10.0), 3);
-        let mut serials = [meter(), meter(), meter()];
-        // Uneven chunk boundaries per lane; same per-lane current sequence.
-        let current = |k: usize, t: usize| 35.0 + (k as f64 + 1.0) * 0.37 * (t % 19) as f64;
-        let mut offsets = [0usize; 3];
-        for round in 0..5 {
-            for k in 0..3 {
-                let len = (11 * (k + 1) + 7 * round) % 40;
-                let chunk: Vec<f64> = (0..len).map(|t| current(k, offsets[k] + t)).collect();
-                lanes.record_chunk(k, &chunk);
-                for &a in &chunk {
-                    serials[k].record(Amps::new(a));
-                }
-                offsets[k] += len;
-            }
-        }
-        for (k, serial) in serials.iter().enumerate() {
-            let m = lanes.meter(k);
-            assert_eq!(m.joules().to_bits(), serial.joules().to_bits());
-            assert_eq!(m.cycles(), serial.cycles());
-            assert_eq!(m.energy_delay().to_bits(), serial.energy_delay().to_bits());
-        }
-    }
-
-    #[test]
-    fn lane_meters_reset_and_swap() {
-        let mut lanes = LaneMeters::new(Volts::new(1.0), Hertz::from_giga(10.0), 2);
-        lanes.record_chunk(0, &[70.0, 80.0]);
-        lanes.record_chunk(1, &[35.0]);
-        lanes.swap_lanes(0, 1);
-        assert_eq!(lanes.meter(0).cycles(), 1);
-        assert_eq!(lanes.meter(1).cycles(), 2);
-        lanes.reset_lane(1);
-        assert_eq!(lanes.meter(1).cycles(), 0);
-        assert_eq!(lanes.meter(1).joules(), 0.0);
-        assert_eq!(lanes.meter(0).cycles(), 1);
     }
 }

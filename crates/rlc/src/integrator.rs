@@ -212,13 +212,6 @@ impl PreparedStep {
         Ok(full)
     }
 
-    /// The coefficients as loaded: `(method, h, c, l, r)`. For the lane
-    /// integrator, which shares one prepared step across lanes of the same
-    /// circuit and inlines the success-path arithmetic itself.
-    pub(crate) fn parts(&self) -> (Method, f64, f64, f64, f64) {
-        (self.method, self.h, self.c, self.l, self.r)
-    }
-
     fn raw(&self, state: SupplyState, i_start: f64, i_end: f64, h: f64) -> SupplyState {
         raw_step_coeffs(
             self.c,

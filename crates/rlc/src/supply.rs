@@ -88,32 +88,6 @@ impl PowerSupply {
         }
     }
 
-    /// Reassembles a supply from explicit component state — how the lane
-    /// integrator ([`crate::lanes::SupplyLanes`]) hands one lane's final
-    /// state back as an ordinary [`PowerSupply`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble(
-        params: SupplyParams,
-        dt: Seconds,
-        method: Method,
-        state: SupplyState,
-        prev_current: Amps,
-        cycle: Cycles,
-        violations: u64,
-        worst_noise: Volts,
-    ) -> Self {
-        Self {
-            params,
-            dt,
-            method,
-            state,
-            prev_current,
-            cycle,
-            violations,
-            worst_noise,
-        }
-    }
-
     /// The circuit parameters.
     pub fn params(&self) -> &SupplyParams {
         &self.params

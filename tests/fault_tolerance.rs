@@ -246,78 +246,6 @@ fn checkpoint_resumes_bit_exactly_across_kernel_batch_sizes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Current value of the `engine.lane_runs` counter (0 if never bumped).
-/// Counters are process-global and monotone within this test binary, so a
-/// before/after delta is a reliable lower bound even with tests in flight.
-fn lane_runs_counter() -> u64 {
-    restune::obs::snapshot_counters()
-        .into_iter()
-        .find(|(name, _)| name == "engine.lane_runs")
-        .map(|(_, v)| v)
-        .unwrap_or(0)
-}
-
-#[test]
-fn checkpoint_resumes_bit_exactly_across_lane_counts() {
-    // The engine's lane width (`RESTUNE_LANES`) is pure scheduling, exactly
-    // like the kernel's flush batch: it is deliberately excluded from the
-    // checkpoint fingerprint, so a suite checkpointed at one width must
-    // resume at another — with the remaining apps retired through the SoA
-    // lane pack — and still come out bit-exact.
-    let profiles = profiles();
-    let sim = SimConfig::isca04(25_000);
-    let dir = std::env::temp_dir().join(format!("restune-ft-lanes-{}", std::process::id()));
-    let sup = SupervisorConfig {
-        resume: true,
-        checkpoint_dir: Some(dir.clone()),
-        max_retries: 0,
-        ..fast_retries()
-    };
-
-    let reference = try_run_suite(&profiles, &Technique::Base, &sim).expect("suite runs");
-
-    // Interrupt at width 2: two apps crash persistently (an armed fault plan
-    // routes everything through the worker pool), so a single row lands in
-    // the checkpoint.
-    let crash_plan = FaultPlan::none()
-        .with_persistent_fault(APPS[1], FaultSpec::WorkerPanic)
-        .with_persistent_fault(APPS[2], FaultSpec::WorkerPanic);
-    let interrupted = restune::testenv::with_env(&[("RESTUNE_LANES", Some("2"))], || {
-        run_suite_supervised(&profiles, &Technique::Base, &sim, &sup, &crash_plan)
-    });
-    assert_eq!(interrupted.completed(), 1);
-
-    // Resume at a different width with the faults gone: the checkpointed app
-    // replays, and the two missing apps — now more than one clean job —
-    // qualify for the lane pack, which must agree with the reference.
-    let lane_runs_before = lane_runs_counter();
-    let resumed = restune::testenv::with_env(&[("RESTUNE_LANES", Some("5"))], || {
-        run_suite_supervised(&profiles, &Technique::Base, &sim, &sup, &FaultPlan::none())
-    });
-
-    assert_eq!(
-        resumed.all_results().expect("resume completes the suite"),
-        reference.results,
-        "resume across lane widths must be bit-exact"
-    );
-    assert!(
-        lane_runs_counter() >= lane_runs_before + 2,
-        "the resumed apps must retire through the lane pack"
-    );
-    let replayed: Vec<bool> = resumed
-        .metrics
-        .iter()
-        .map(|m| m.expect("all apps have metrics").replayed)
-        .collect();
-    assert_eq!(
-        replayed,
-        vec![true, false, false],
-        "the checkpoint taken at width 2 must be honored at width 5"
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn corrupt_recorded_baselines_are_discarded_not_trusted() {
     let profiles = profiles();

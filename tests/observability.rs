@@ -114,6 +114,51 @@ fn violating_run_captures_waveform_windows_and_stays_bit_exact() {
     }
 }
 
+/// Per-run metrics describe each run alone: every simulated row carries its
+/// own sampled phase timings, and the rows' wall times add up to no more
+/// than what the worker pool could have spent — two workers, so at most
+/// twice the suite's wall time (with slack for timer skew).
+#[test]
+fn supervised_suite_rows_carry_their_own_phases_and_wall_time() {
+    let profiles: Vec<_> = ["gzip", "swim", "mcf", "gcc", "art", "lucas"]
+        .iter()
+        .map(|n| spec2k::by_name(n).expect("app is in the suite"))
+        .collect();
+    let sim = SimConfig::isca04(20_000);
+    let technique = Technique::Tuning(TuningConfig::isca04_table1(100));
+    let suite = restune::testenv::with_env(&[("RESTUNE_WORKERS", Some("2"))], || {
+        run_suite_supervised(
+            &profiles,
+            &technique,
+            &sim,
+            &SupervisorConfig::default(),
+            &FaultPlan::none(),
+        )
+    });
+    let rows: Vec<_> = suite
+        .metrics
+        .iter()
+        .map(|m| m.as_ref().expect("every app completes"))
+        .collect();
+    assert_eq!(rows.len(), profiles.len());
+    for row in &rows {
+        assert!(!row.replayed, "{}: nothing to replay", row.app);
+        assert!(
+            row.phase_cpu_seconds > 0.0 && row.phase_power_seconds > 0.0,
+            "{}: simulated row without phase timings: cpu {} s, power {} s",
+            row.app,
+            row.phase_cpu_seconds,
+            row.phase_power_seconds
+        );
+    }
+    let row_walls: f64 = rows.iter().map(|r| r.wall_seconds).sum();
+    assert!(
+        row_walls <= 2.0 * suite.wall_seconds * 1.25,
+        "rows claim {row_walls} s of a {} s suite on two workers",
+        suite.wall_seconds
+    );
+}
+
 /// Not a real test: the process-isolation tests below re-exec this test
 /// binary with `worker_shim --exact` as its arguments, turning the libtest
 /// run into a restune worker. Without the env gate it is a no-op.

@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use restune::{
-    run, run_on_path, run_suite_lanes, run_with_batch, DampingConfig, EnginePath, EventDetector,
-    SensorConfig, SimConfig, Technique, TuningConfig,
+    run, run_on_path, run_with_batch, DampingConfig, EnginePath, EventDetector, SensorConfig,
+    SimConfig, Technique, TuningConfig,
 };
 use rlc::units::{Amps, Cycles, Farads, Henries, Hertz, Ohms, Volts};
 use rlc::{impedance_at, simulate_waveform, PeriodicWave, PowerSupply, SupplyParams};
@@ -415,13 +415,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Corpus-driven runs are pure replay through every engine: for any
-    /// technique and lane width, the reference per-cycle loop, the fused
-    /// kernel, and the SoA lane pack retire bit-identical results.
+    /// technique, the reference per-cycle loop and the fused kernel retire
+    /// bit-identical results. Running several apps in a row on one thread
+    /// also checks that the fused kernel's memoized warm cache image carries
+    /// nothing from one run into the next.
     #[test]
-    fn corpus_runs_are_engine_path_and_lane_invariant(
-        width in 1usize..9,
-        tech_idx in 0usize..4,
-    ) {
+    fn corpus_runs_are_engine_path_invariant(tech_idx in 0usize..4) {
         use std::sync::OnceLock;
         static BASELINES: OnceLock<Vec<Vec<restune::SimResult>>> = OnceLock::new();
 
@@ -457,61 +456,5 @@ proptest! {
                 p.name, techniques[tech_idx].name()
             );
         }
-        let packed = run_suite_lanes(&profiles, &techniques[tech_idx], &sim, width);
-        prop_assert_eq!(
-            &packed,
-            &baselines[tech_idx],
-            "lane width {} diverged from the reference loop for {}",
-            width,
-            techniques[tech_idx].name()
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// The SoA lane pack is pure scheduling: for every technique — including
-    /// the sensor, whose voltage feedback degenerates chunks to one cycle —
-    /// a mixed-app pack at any width retires each run bit-identical to the
-    /// serial fused kernel. Mixing apps guarantees lanes retire at different
-    /// cycles, so wider packs always exercise the drain-and-refill tail.
-    #[test]
-    fn lane_packed_suite_is_bit_exact_with_fused(width in 1usize..9, tech_idx in 0usize..4) {
-        use std::sync::OnceLock;
-        static BASELINES: OnceLock<Vec<Vec<restune::SimResult>>> = OnceLock::new();
-
-        let sim = SimConfig::isca04(6_000);
-        let techniques = [
-            Technique::Base,
-            Technique::Tuning(TuningConfig::isca04_table1(100)),
-            Technique::Sensor(SensorConfig::table4(20.0, 15.0, 3)),
-            Technique::Damping(DampingConfig::isca04_table5(0.25)),
-        ];
-        let profiles: Vec<_> = ["swim", "gcc", "mcf"]
-            .iter()
-            .map(|n| workloads::spec2k::by_name(n).expect("app is in the suite"))
-            .collect();
-
-        let baselines = BASELINES.get_or_init(|| {
-            techniques
-                .iter()
-                .map(|t| {
-                    profiles
-                        .iter()
-                        .map(|p| run_on_path(p, t, &sim, EnginePath::Fused))
-                        .collect()
-                })
-                .collect()
-        });
-
-        let packed = run_suite_lanes(&profiles, &techniques[tech_idx], &sim, width);
-        prop_assert_eq!(
-            &packed,
-            &baselines[tech_idx],
-            "lane width {} diverged from the fused kernel for {}",
-            width,
-            techniques[tech_idx].name()
-        );
     }
 }
