@@ -140,6 +140,35 @@ print(f"trace ok: {len(lines)} events, {len(windows)} waveform windows, "
       f"{len(simulated)} simulated rows with phase timings")
 EOF
 
+echo "==> warm rerun smoke (a repeated harness is served from the run store)"
+# The second table3_tuning over the same cache directory must print the
+# same table and outcomes as the first while simulating no technique run:
+# the trace's store counters show all 26 x 6 technique runs (five response
+# times plus the delayed design point) served from the run store.
+warm_dir=$(mktemp -d)
+RESTUNE_CACHE_DIR="$warm_dir/cache" \
+    ./target/release/table3_tuning -n 20000 --json > "$warm_dir/cold.json"
+RESTUNE_CACHE_DIR="$warm_dir/cache" \
+    ./target/release/table3_tuning -n 20000 --json \
+    --trace-out "$warm_dir/warm.jsonl" > "$warm_dir/warm.json"
+python3 - "$warm_dir" <<'EOF'
+import json, sys
+d = sys.argv[1]
+cold, warm = (json.load(open(f"{d}/{n}.json")) for n in ("cold", "warm"))
+for section in ("table3", "outcomes"):
+    assert cold[section] == warm[section], \
+        f"warm rerun: section {section!r} differs from the cold run"
+counters = {}
+for line in open(f"{d}/warm.jsonl"):
+    e = json.loads(line) if line.strip() else {}
+    if e.get("kind") == "counter":
+        counters[e["name"]] = counters.get(e["name"], 0) + int(e["value"])
+hits, misses = counters.get("store.hits", 0), counters.get("store.misses", 0)
+assert hits == 26 * 6, f"warm rerun: {hits} store hits, expected {26 * 6}"
+assert misses == 0, f"warm rerun: {misses} store misses"
+print(f"warm rerun ok: {hits} technique runs served from the store, 0 simulated")
+EOF
+
 echo "==> kernel bench smoke (--test mode + BENCH_kernel.json schema)"
 # The kernel bench in --test mode runs each benchmark body once on shrunk
 # workloads and still writes its JSON document (to a scratch path here, so

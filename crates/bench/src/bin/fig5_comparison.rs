@@ -7,10 +7,7 @@ use bench::{
     failure_report_section, format_table, json_document, outcomes_report, print_failure_reports,
     push_outcomes, run_metrics_report, HarnessArgs, Report,
 };
-use restune::engine::{cached_base_suite, SupervisedSuite};
-use restune::experiment::{
-    base_suite_supervised, compare_suites, paired_outcomes, run_suite, run_suite_policed,
-};
+use restune::experiment::{base_suite_supervised, paired_outcomes, run_suite_policed};
 use restune::{DampingConfig, SensorConfig, SimConfig, Summary, Technique, TuningConfig};
 use workloads::spec2k;
 
@@ -19,18 +16,12 @@ fn main() {
     let args = HarnessArgs::parse();
     let _trace = bench::init_trace(&args);
     let _connect = bench::init_connect(&args);
+    let store = bench::open_store();
     let policy = args.policy();
     let sim = SimConfig::isca04(args.instructions);
 
     let profiles = spec2k::all();
-    let supervised_base: Option<SupervisedSuite> =
-        (!policy.is_inert()).then(|| base_suite_supervised(&sim, &policy));
-    let plain_base = policy.is_inert().then(|| cached_base_suite(&sim));
-    let base: Vec<_> = match (&plain_base, &supervised_base) {
-        (Some(suite), _) => suite.results.clone(),
-        (None, Some(_)) => Vec::new(),
-        (None, None) => unreachable!("one base path is always taken"),
-    };
+    let base = base_suite_supervised(&sim, &policy);
 
     let points: Vec<(&str, Technique)> = vec![
         (
@@ -63,23 +54,11 @@ fn main() {
     let mut bars = Vec::new();
     let mut fig5 = Report::new(&["design_point", "avg_energy_delay", "avg_slowdown"]);
     let mut outcome_rows = outcomes_report();
-    let mut reports = Vec::new();
-    if let Some(b) = &supervised_base {
-        reports.push(b.report.clone());
-    }
+    let mut reports = vec![base.report.clone()];
     for (label, technique) in &points {
-        let outcomes = match &supervised_base {
-            None => {
-                let results = run_suite(&profiles, technique, &sim);
-                compare_suites(&base, &results)
-            }
-            Some(b) => {
-                let suite = run_suite_policed(&profiles, technique, &sim, &policy, label);
-                let outcomes = paired_outcomes(b, &suite);
-                reports.push(suite.report);
-                outcomes
-            }
-        };
+        let suite = run_suite_policed(&profiles, technique, &sim, &policy, label, Some(&*store));
+        let outcomes = paired_outcomes(&base, &suite);
+        reports.push(suite.report);
         if outcomes.is_empty() {
             continue; // every pair failed at this design point
         }
@@ -99,13 +78,8 @@ fn main() {
     }
 
     if args.json {
-        let metrics = match (&plain_base, &supervised_base) {
-            (Some(suite), _) => run_metrics_report(&suite.metrics),
-            (_, Some(b)) => {
-                run_metrics_report(&b.metrics.iter().filter_map(|m| *m).collect::<Vec<_>>())
-            }
-            (None, None) => unreachable!("one base path is always taken"),
-        };
+        let metrics: Vec<_> = base.metrics.iter().filter_map(|m| *m).collect();
+        let metrics = run_metrics_report(&metrics);
         let mut sections = vec![
             ("fig5", fig5),
             ("outcomes", outcome_rows),

@@ -16,9 +16,13 @@ use std::process::ExitCode;
 
 use bench::format_table;
 use bench::report::Report;
-use restune::experiment::{run_base_suite, table2, table3, table4, table5};
+use restune::experiment::{
+    base_suite_supervised, table2_from_supervised, table3_supervised, table4_supervised,
+    table5_supervised,
+};
 use restune::{
-    analyze, run, DampingConfig, RelativeOutcome, SensorConfig, SimConfig, Technique, TuningConfig,
+    analyze, run, DampingConfig, RelativeOutcome, RunPolicy, SensorConfig, SimConfig, Technique,
+    TuningConfig,
 };
 use rlc::units::{Amps, Hertz};
 use rlc::{calibrate, fit_supply, ImpedanceSample, ImpedanceSweep, SupplyParams};
@@ -283,7 +287,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 
 fn cmd_classify(args: &Args) -> Result<(), String> {
     let sim = SimConfig::isca04(args.get_u64("n", 120_000)?);
-    let rows = table2(&sim);
+    let rows = table2_from_supervised(&base_suite_supervised(&sim, &RunPolicy::none()));
     let mut report = Report::new(&[
         "app",
         "ipc",
@@ -376,8 +380,9 @@ fn print_summaries(rows: &[(String, restune::Summary)]) {
 
 fn cmd_table3(args: &Args) -> Result<(), String> {
     let sim = SimConfig::isca04(args.get_u64("n", 120_000)?);
-    let base = run_base_suite(&sim);
-    let rows = table3(&sim, &[75, 100, 125, 150, 200], &base);
+    let policy = RunPolicy::none();
+    let base = base_suite_supervised(&sim, &policy);
+    let (rows, _) = table3_supervised(&sim, &[75, 100, 125, 150, 200], &base, &policy, None);
     let labeled: Vec<(String, restune::Summary)> = rows
         .iter()
         .map(|r| (format!("tuning {} cy", r.initial_response_time), r.summary))
@@ -388,7 +393,8 @@ fn cmd_table3(args: &Args) -> Result<(), String> {
 
 fn cmd_table4(args: &Args) -> Result<(), String> {
     let sim = SimConfig::isca04(args.get_u64("n", 120_000)?);
-    let base = run_base_suite(&sim);
+    let policy = RunPolicy::none();
+    let base = base_suite_supervised(&sim, &policy);
     let configs = [
         SensorConfig::table4(30.0, 0.0, 0),
         SensorConfig::table4(20.0, 0.0, 0),
@@ -396,7 +402,7 @@ fn cmd_table4(args: &Args) -> Result<(), String> {
         SensorConfig::table4(20.0, 10.0, 5),
         SensorConfig::table4(20.0, 15.0, 3),
     ];
-    let rows = table4(&sim, &configs, &base);
+    let (rows, _) = table4_supervised(&sim, &configs, &base, &policy, None);
     let labeled: Vec<(String, restune::Summary)> = rows
         .iter()
         .map(|r| {
@@ -417,8 +423,9 @@ fn cmd_table4(args: &Args) -> Result<(), String> {
 
 fn cmd_table5(args: &Args) -> Result<(), String> {
     let sim = SimConfig::isca04(args.get_u64("n", 120_000)?);
-    let base = run_base_suite(&sim);
-    let rows = table5(&sim, &[1.0, 0.5, 0.25], &base);
+    let policy = RunPolicy::none();
+    let base = base_suite_supervised(&sim, &policy);
+    let (rows, _) = table5_supervised(&sim, &[1.0, 0.5, 0.25], &base, &policy, None);
     let labeled: Vec<(String, restune::Summary)> = rows
         .iter()
         .map(|r| (format!("damping δ={}", r.delta_relative), r.summary))

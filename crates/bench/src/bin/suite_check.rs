@@ -21,13 +21,14 @@ fn main() {
     let args = HarnessArgs::parse();
     let _trace = bench::init_trace(&args);
     let _connect = bench::init_connect(&args);
+    let store = bench::open_store();
     let policy = args.policy();
     let sim = SimConfig::isca04(args.instructions);
     let tun = Technique::Tuning(TuningConfig::isca04_table1(100));
     let profiles = spec2k::all();
 
     let base = base_suite_supervised(&sim, &policy);
-    let tuned = run_suite_policed(&profiles, &tun, &sim, &policy, "tuning-100");
+    let tuned = run_suite_policed(&profiles, &tun, &sim, &policy, "tuning-100", Some(&*store));
     let reports = [base.report.clone(), tuned.report.clone()];
 
     if args.json {
@@ -60,14 +61,12 @@ fn main() {
             ("suite_check", rows),
             ("run_metrics", run_metrics_report(&metrics)),
         ];
-        if policy.is_inert() {
-            // Clean mode stays bit-identical to the pre-supervision output
-            // shape: no failures section.
-            println!("{}", json_document(&sections));
-        } else {
+        // Clean mode keeps the pre-supervision output shape: no failures
+        // section.
+        if !policy.is_inert() {
             sections.push(("failures", failure_report_section(&reports)));
-            println!("{}", json_document(&sections));
         }
+        println!("{}", json_document(&sections));
     } else {
         let (mut tb, mut tt) = (0u64, 0u64);
         let mut misclassified = 0;

@@ -5,8 +5,7 @@ use bench::{
     failure_report_section, format_table, json_document, print_failure_reports, run_metrics_report,
     HarnessArgs, Report,
 };
-use restune::engine::cached_base_suite;
-use restune::experiment::{base_suite_supervised, table2, table2_from_supervised};
+use restune::experiment::{base_suite_supervised, table2_from_supervised};
 use restune::SimConfig;
 
 fn main() {
@@ -16,11 +15,8 @@ fn main() {
     let _connect = bench::init_connect(&args);
     let policy = args.policy();
     let sim = SimConfig::isca04(args.instructions);
-    let supervised = (!policy.is_inert()).then(|| base_suite_supervised(&sim, &policy));
-    let rows = match &supervised {
-        Some(base) => table2_from_supervised(base),
-        None => table2(&sim),
-    };
+    let base = base_suite_supervised(&sim, &policy);
+    let rows = table2_from_supervised(&base);
 
     if args.json {
         let mut table = Report::new(&[
@@ -42,29 +38,16 @@ fn main() {
                 (violating == r.paper_violating).into(),
             ]);
         }
-        match &supervised {
-            Some(base) => {
-                let metrics: Vec<_> = base.metrics.iter().filter_map(|m| *m).collect();
-                println!(
-                    "{}",
-                    json_document(&[
-                        ("table2", table),
-                        ("run_metrics", run_metrics_report(&metrics)),
-                        (
-                            "failures",
-                            failure_report_section(std::slice::from_ref(&base.report)),
-                        ),
-                    ])
-                );
-            }
-            None => {
-                let metrics = run_metrics_report(&cached_base_suite(&sim).metrics);
-                println!(
-                    "{}",
-                    json_document(&[("table2", table), ("run_metrics", metrics)])
-                );
-            }
+        let metrics: Vec<_> = base.metrics.iter().filter_map(|m| *m).collect();
+        let mut sections = vec![
+            ("table2", table),
+            ("run_metrics", run_metrics_report(&metrics)),
+        ];
+        if !policy.is_inert() {
+            let failures = failure_report_section(std::slice::from_ref(&base.report));
+            sections.push(("failures", failures));
         }
+        println!("{}", json_document(&sections));
         return;
     }
 
@@ -128,7 +111,5 @@ fn main() {
         rows.len()
     );
     println!("(paper: 12 violating / 14 clean; violation fractions 3.2e-8 … 5.6e-3)");
-    if let Some(base) = &supervised {
-        print_failure_reports(std::slice::from_ref(&base.report));
-    }
+    print_failure_reports(std::slice::from_ref(&base.report));
 }

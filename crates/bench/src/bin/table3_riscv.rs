@@ -14,10 +14,9 @@ use bench::{
     failure_report_section, format_table, json_document, outcomes_report, print_failure_reports,
     push_outcomes, run_metrics_report, HarnessArgs, Report,
 };
-use restune::engine::cached_corpus_base_suite;
 use restune::experiment::{
-    compare_suites, corpus_base_suite_supervised, paired_outcomes, run_suite, run_suite_policed,
-    table3_riscv, table3_riscv_supervised, Table3Row,
+    corpus_base_suite_supervised, paired_outcomes, run_suite_policed, table3_riscv_supervised,
+    Table3Row,
 };
 use restune::{DampingConfig, RelativeOutcome, SensorConfig, SimConfig, Summary, Technique};
 use workloads::corpus;
@@ -81,6 +80,7 @@ fn main() {
     let args = HarnessArgs::parse();
     let _trace = bench::init_trace(&args);
     let _connect = bench::init_connect(&args);
+    let store = bench::open_store();
     let policy = args.policy();
     let sim = SimConfig::isca04(args.instructions);
     let response_times = [75, 100, 125, 150, 200];
@@ -89,44 +89,31 @@ fn main() {
     let sensor_technique = Technique::Sensor(SensorConfig::table4(20.0, 10.0, 5));
     let damping_technique = Technique::Damping(DampingConfig::isca04_table5(1.0));
 
-    let (rows, sensor_outcomes, damping_outcomes, metrics, reports) = if policy.is_inert() {
-        let base_suite = cached_corpus_base_suite(&sim);
-        let base = &base_suite.results;
-        let rows = table3_riscv(&sim, &response_times, base);
-        let sensor = run_suite(&corpus::all(), &sensor_technique, &sim);
-        let damping = run_suite(&corpus::all(), &damping_technique, &sim);
-        (
-            rows,
-            compare_suites(base, &sensor),
-            compare_suites(base, &damping),
-            base_suite.metrics.clone(),
-            Vec::new(),
-        )
-    } else {
-        let base = corpus_base_suite_supervised(&sim, &policy);
-        let (rows, mut reports) = table3_riscv_supervised(&sim, &response_times, &base, &policy);
-        let sensor = run_suite_policed(
-            &corpus::all(),
-            &sensor_technique,
-            &sim,
-            &policy,
-            "sensor-20mV-10mV-5cy",
-        );
-        let damping = run_suite_policed(
-            &corpus::all(),
-            &damping_technique,
-            &sim,
-            &policy,
-            "damping-1",
-        );
-        let sensor_outcomes = paired_outcomes(&base, &sensor);
-        let damping_outcomes = paired_outcomes(&base, &damping);
-        reports.insert(0, base.report.clone());
-        reports.push(sensor.report);
-        reports.push(damping.report);
-        let metrics: Vec<_> = base.metrics.iter().filter_map(|m| *m).collect();
-        (rows, sensor_outcomes, damping_outcomes, metrics, reports)
-    };
+    let base = corpus_base_suite_supervised(&sim, &policy);
+    let (rows, mut reports) =
+        table3_riscv_supervised(&sim, &response_times, &base, &policy, Some(&*store));
+    let sensor = run_suite_policed(
+        &corpus::all(),
+        &sensor_technique,
+        &sim,
+        &policy,
+        "sensor-20mV-10mV-5cy",
+        Some(&*store),
+    );
+    let damping = run_suite_policed(
+        &corpus::all(),
+        &damping_technique,
+        &sim,
+        &policy,
+        "damping-1",
+        Some(&*store),
+    );
+    let sensor_outcomes = paired_outcomes(&base, &sensor);
+    let damping_outcomes = paired_outcomes(&base, &damping);
+    reports.insert(0, base.report.clone());
+    reports.push(sensor.report);
+    reports.push(damping.report);
+    let metrics: Vec<_> = base.metrics.iter().filter_map(|m| *m).collect();
 
     let technique_summaries: Vec<(&str, Summary, &[RelativeOutcome])> = [
         ("sensor-20mV-10mV-5cy", &sensor_outcomes),

@@ -6,10 +6,8 @@ use bench::{
     failure_report_section, format_table, json_document, outcomes_report, print_failure_reports,
     push_outcomes, run_metrics_report, HarnessArgs, Report,
 };
-use restune::engine::cached_base_suite;
 use restune::experiment::{
-    base_suite_supervised, compare_suites, paired_outcomes, run_suite, run_suite_policed, table3,
-    table3_supervised, Table3Row,
+    base_suite_supervised, paired_outcomes, run_suite_policed, table3_supervised, Table3Row,
 };
 use restune::{SimConfig, Summary};
 
@@ -53,6 +51,7 @@ fn main() {
     let args = HarnessArgs::parse();
     let _trace = bench::init_trace(&args);
     let _connect = bench::init_connect(&args);
+    let store = bench::open_store();
     let policy = args.policy();
     let sim = SimConfig::isca04(args.instructions);
     let response_times = [75, 100, 125, 150, 200];
@@ -60,36 +59,23 @@ fn main() {
         restune::TuningConfig::isca04_table1(100).with_response_delay(5),
     );
 
+    let base = base_suite_supervised(&sim, &policy);
+    let (rows, mut reports) =
+        table3_supervised(&sim, &response_times, &base, &policy, Some(&*store));
     // The delay-sensitivity experiment of Section 5.2 rides along: 5-cycle
     // response delay at a 100-cycle initial response time.
-    let (rows, delayed_outcomes, metrics, reports) = if policy.is_inert() {
-        let base_suite = cached_base_suite(&sim);
-        let base = &base_suite.results;
-        let rows = table3(&sim, &response_times, base);
-        let delayed = run_suite(&workloads::spec2k::all(), &delayed_technique, &sim);
-        let delayed_outcomes = compare_suites(base, &delayed);
-        (
-            rows,
-            delayed_outcomes,
-            base_suite.metrics.clone(),
-            Vec::new(),
-        )
-    } else {
-        let base = base_suite_supervised(&sim, &policy);
-        let (rows, mut reports) = table3_supervised(&sim, &response_times, &base, &policy);
-        let delayed = run_suite_policed(
-            &workloads::spec2k::all(),
-            &delayed_technique,
-            &sim,
-            &policy,
-            "tuning-100-delay-5",
-        );
-        let delayed_outcomes = paired_outcomes(&base, &delayed);
-        reports.insert(0, base.report.clone());
-        reports.push(delayed.report);
-        let metrics: Vec<_> = base.metrics.iter().filter_map(|m| *m).collect();
-        (rows, delayed_outcomes, metrics, reports)
-    };
+    let delayed = run_suite_policed(
+        &workloads::spec2k::all(),
+        &delayed_technique,
+        &sim,
+        &policy,
+        "tuning-100-delay-5",
+        Some(&*store),
+    );
+    let delayed_outcomes = paired_outcomes(&base, &delayed);
+    reports.insert(0, base.report.clone());
+    reports.push(delayed.report);
+    let metrics: Vec<_> = base.metrics.iter().filter_map(|m| *m).collect();
     let delayed_summary =
         (!delayed_outcomes.is_empty()).then(|| Summary::from_outcomes(&delayed_outcomes));
 

@@ -6,8 +6,7 @@ use bench::{
     failure_report_section, format_table, json_document, outcomes_report, print_failure_reports,
     push_outcomes, run_metrics_report, HarnessArgs, Report,
 };
-use restune::engine::cached_base_suite;
-use restune::experiment::{base_suite_supervised, table5, table5_supervised};
+use restune::experiment::{base_suite_supervised, table5_supervised};
 use restune::SimConfig;
 
 fn main() {
@@ -15,21 +14,15 @@ fn main() {
     let args = HarnessArgs::parse();
     let _trace = bench::init_trace(&args);
     let _connect = bench::init_connect(&args);
+    let store = bench::open_store();
     let policy = args.policy();
     let sim = SimConfig::isca04(args.instructions);
 
     let deltas = [1.0, 0.5, 0.25];
-    let (rows, metrics, reports) = if policy.is_inert() {
-        let base_suite = cached_base_suite(&sim);
-        let rows = table5(&sim, &deltas, &base_suite.results);
-        (rows, base_suite.metrics.clone(), Vec::new())
-    } else {
-        let base = base_suite_supervised(&sim, &policy);
-        let (rows, mut reports) = table5_supervised(&sim, &deltas, &base, &policy);
-        reports.insert(0, base.report.clone());
-        let metrics: Vec<_> = base.metrics.iter().filter_map(|m| *m).collect();
-        (rows, metrics, reports)
-    };
+    let base = base_suite_supervised(&sim, &policy);
+    let (rows, mut reports) = table5_supervised(&sim, &deltas, &base, &policy, Some(&*store));
+    reports.insert(0, base.report.clone());
+    let metrics: Vec<_> = base.metrics.iter().filter_map(|m| *m).collect();
 
     if args.json {
         let mut table = Report::new(&[

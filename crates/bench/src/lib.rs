@@ -343,6 +343,34 @@ impl Drop for ConnectGuard {
     }
 }
 
+/// Opens the run store the suite harnesses serve and record technique runs
+/// through ([`restune::RunStore::open_default`]). Bind the returned guard
+/// for the whole of `main`, after [`init_trace`]: its drop runs the store's
+/// eviction pass, as `run_sweep` does at the end of a sweep, before the
+/// trace takes its final counter snapshot.
+#[must_use = "bind the guard for the whole of main so the store stays bounded"]
+pub fn open_store() -> StoreGuard {
+    StoreGuard(restune::RunStore::open_default())
+}
+
+/// See [`open_store`].
+#[derive(Debug)]
+pub struct StoreGuard(restune::RunStore);
+
+impl std::ops::Deref for StoreGuard {
+    type Target = restune::RunStore;
+
+    fn deref(&self) -> &restune::RunStore {
+        &self.0
+    }
+}
+
+impl Drop for StoreGuard {
+    fn drop(&mut self) {
+        self.0.evict();
+    }
+}
+
 /// Renders a JSON object mapping each named section to its rows — the
 /// single document a harness prints under `--json`.
 pub fn json_document(sections: &[(&str, report::Report)]) -> String {

@@ -148,6 +148,9 @@ pub struct SupervisedSuite {
     pub report: FailureReport,
     /// End-to-end wall time of the whole suite in seconds.
     pub wall_seconds: f64,
+    /// Slots served from the run store
+    /// ([`crate::experiment::run_suite_policed`]); 0 on every other path.
+    pub store_hits: usize,
 }
 
 impl SupervisedSuite {
@@ -157,6 +160,7 @@ impl SupervisedSuite {
             metrics: run.metrics.iter().copied().map(Some).collect(),
             report: FailureReport::new(scope),
             wall_seconds: run.wall_seconds,
+            store_hits: 0,
         }
     }
 
@@ -495,6 +499,7 @@ pub fn run_suite_supervised(
         metrics,
         report,
         wall_seconds,
+        store_hits: 0,
     }
 }
 
@@ -880,6 +885,7 @@ fn cached_suite_supervised_for(
             metrics,
             report,
             wall_seconds: 0.0,
+            store_hits: 0,
         };
     }
 

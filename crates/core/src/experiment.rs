@@ -7,12 +7,14 @@ use workloads::{corpus, spec2k, WorkloadProfile};
 use crate::baselines::{DampingConfig, SensorConfig};
 use crate::config::{RunPolicy, TuningConfig};
 use crate::engine::{
-    cached_base_suite, cached_base_suite_supervised, cached_corpus_base_suite,
-    cached_corpus_base_suite_supervised, run_suite_supervised, try_run_suite, SupervisedSuite,
+    base_cache_stats, cached_base_suite_supervised, cached_corpus_base_suite_supervised,
+    run_suite_supervised, try_run_suite, SupervisedSuite,
 };
 use crate::fault::FailureReport;
-use crate::metrics::{RelativeOutcome, Summary};
+use crate::metrics::{RelativeOutcome, RunMetrics, Summary};
+use crate::obs;
 use crate::sim::{SimConfig, SimResult, Technique};
+use crate::sweep::{run_key, RunStore};
 
 /// Runs every profile under `technique` on the engine's bounded worker
 /// pool, returning results in suite order.
@@ -33,22 +35,6 @@ pub fn run_suite(
     }
 }
 
-/// Runs the full 26-app suite on the base machine.
-///
-/// Base runs are memoized per configuration ([`cached_base_suite`]): every
-/// table and figure driver in one process shares a single simulation, and a
-/// recorded baseline under `target/restune-cache/` spares later processes
-/// the cold run.
-pub fn run_base_suite(sim: &SimConfig) -> Vec<SimResult> {
-    cached_base_suite(sim).results.clone()
-}
-
-/// [`run_base_suite`] for the RISC-V corpus suite (memoized and recorded
-/// through [`cached_corpus_base_suite`], like the synthetic suite).
-pub fn run_corpus_base_suite(sim: &SimConfig) -> Vec<SimResult> {
-    cached_corpus_base_suite(sim).results.clone()
-}
-
 /// Pairs base and technique suite results into per-app outcomes.
 ///
 /// # Panics
@@ -64,17 +50,86 @@ pub fn compare_suites(base: &[SimResult], technique: &[SimResult]) -> Vec<Relati
 
 /// Runs the suite under the policy's supervision and fault plan, labelling
 /// the failure report with `scope` (a design-point label such as
-/// `tuning-100`).
+/// `tuning-100`). This is the one path every suite harness and the grid
+/// sweep run a technique suite through.
+///
+/// With a `store`, each application run is first looked up by its
+/// [`run_key`]: hits fill their slots as replayed rows, only the missing
+/// subset is simulated through [`run_suite_supervised`], and every slot
+/// that succeeds is recorded, also when another application of the suite
+/// failed. A plan with result-perturbing faults bypasses the store:
+/// perturbed results must never poison it, and clean records must never
+/// mask an injected fault. Without a store this is exactly
+/// [`run_suite_supervised`].
 pub fn run_suite_policed(
     profiles: &[WorkloadProfile],
     technique: &Technique,
     sim: &SimConfig,
     policy: &RunPolicy,
     scope: &str,
+    store: Option<&RunStore>,
 ) -> SupervisedSuite {
-    let mut suite =
-        run_suite_supervised(profiles, technique, sim, &policy.supervisor, &policy.plan);
-    suite.report.scope = scope.to_string();
+    let start = std::time::Instant::now();
+    let run_subset = |subset: &[WorkloadProfile]| {
+        let mut suite =
+            run_suite_supervised(subset, technique, sim, &policy.supervisor, &policy.plan);
+        suite.report.scope = scope.to_string();
+        suite
+    };
+    let Some(store) = store.filter(|_| !policy.plan.has_result_faults()) else {
+        return run_subset(profiles);
+    };
+
+    let keys: Vec<_> = profiles
+        .iter()
+        .map(|p| run_key(p, technique, sim))
+        .collect();
+    let hits: Vec<Option<SimResult>> = keys.iter().map(|k| store.get(k)).collect();
+    let missing: Vec<WorkloadProfile> = profiles
+        .iter()
+        .zip(&hits)
+        .filter_map(|(p, hit)| hit.is_none().then_some(*p))
+        .collect();
+    let mut suite = if missing.is_empty() {
+        SupervisedSuite {
+            outcomes: Vec::new(),
+            metrics: Vec::new(),
+            report: FailureReport::new(scope),
+            wall_seconds: 0.0,
+            store_hits: 0,
+        }
+    } else {
+        run_subset(&missing)
+    };
+
+    let stats = base_cache_stats();
+    let mut fresh = std::mem::take(&mut suite.outcomes)
+        .into_iter()
+        .zip(std::mem::take(&mut suite.metrics));
+    for (key, hit) in keys.iter().zip(hits) {
+        let (outcome, metrics) = match hit {
+            Some(result) => {
+                suite.store_hits += 1;
+                let metrics = RunMetrics::replayed(technique.name(), &result, stats);
+                (Ok(result), Some(metrics))
+            }
+            None => {
+                let (outcome, metrics) = fresh.next().expect("one simulated slot per store miss");
+                if let Ok(result) = &outcome {
+                    if let Err(e) = store.put(key, result) {
+                        obs::warn(
+                            "store",
+                            &format!("cannot record run {:016x}: {e}", key.fingerprint),
+                        );
+                    }
+                }
+                (outcome, metrics)
+            }
+        };
+        suite.outcomes.push(outcome);
+        suite.metrics.push(metrics);
+    }
+    suite.wall_seconds = start.elapsed().as_secs_f64();
     suite
 }
 
@@ -82,7 +137,8 @@ pub fn run_suite_policed(
 /// recorded baseline, damaged files are recovered by re-simulating, and a
 /// failing application degrades its slot rather than the whole suite.
 ///
-/// With an inert policy this is bit-identical to [`run_base_suite`].
+/// With an inert policy this is the memoized, recorded base suite of
+/// [`crate::engine::cached_base_suite`], bit for bit.
 pub fn base_suite_supervised(sim: &SimConfig, policy: &RunPolicy) -> SupervisedSuite {
     cached_base_suite_supervised(sim, &policy.supervisor, &policy.plan)
 }
@@ -131,22 +187,6 @@ pub struct Table2Row {
     pub violation_fraction: f64,
 }
 
-/// Reproduces Table 2: classify every application by base-machine
-/// violations.
-pub fn table2(sim: &SimConfig) -> Vec<Table2Row> {
-    let profiles = spec2k::all();
-    run_base_suite(sim)
-        .into_iter()
-        .zip(&profiles)
-        .map(|(r, p)| Table2Row {
-            app: r.app,
-            paper_violating: p.paper_violating,
-            ipc: r.ipc,
-            violation_fraction: r.violation_fraction(),
-        })
-        .collect()
-}
-
 /// One row of Table 3: resonance tuning at one initial response time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table3Row {
@@ -156,39 +196,6 @@ pub struct Table3Row {
     pub summary: Summary,
     /// Per-app outcomes backing the summary.
     pub outcomes: Vec<RelativeOutcome>,
-}
-
-/// Reproduces Table 3: sweep the initial response time.
-pub fn table3(sim: &SimConfig, response_times: &[u32], base: &[SimResult]) -> Vec<Table3Row> {
-    table3_for(sim, &spec2k::all(), response_times, base)
-}
-
-/// Table 3 over the RISC-V corpus: the same response-time sweep, with each
-/// design point executing the real programs' lowered traces instead of the
-/// synthetic streams. `base` must come from [`run_corpus_base_suite`].
-pub fn table3_riscv(sim: &SimConfig, response_times: &[u32], base: &[SimResult]) -> Vec<Table3Row> {
-    table3_for(sim, &corpus::all(), response_times, base)
-}
-
-fn table3_for(
-    sim: &SimConfig,
-    profiles: &[WorkloadProfile],
-    response_times: &[u32],
-    base: &[SimResult],
-) -> Vec<Table3Row> {
-    response_times
-        .iter()
-        .map(|&t| {
-            let technique = Technique::Tuning(TuningConfig::isca04_table1(t));
-            let results = run_suite(profiles, &technique, sim);
-            let outcomes = compare_suites(base, &results);
-            Table3Row {
-                initial_response_time: t,
-                summary: Summary::from_outcomes(&outcomes),
-                outcomes,
-            }
-        })
-        .collect()
 }
 
 /// One row of Table 4: the voltage-sensor technique of \[10\] at one
@@ -203,24 +210,6 @@ pub struct Table4Row {
     pub outcomes: Vec<RelativeOutcome>,
 }
 
-/// Reproduces Table 4: sweep the sensor technique's threshold, noise, and
-/// delay.
-pub fn table4(sim: &SimConfig, configs: &[SensorConfig], base: &[SimResult]) -> Vec<Table4Row> {
-    let profiles = spec2k::all();
-    configs
-        .iter()
-        .map(|&config| {
-            let results = run_suite(&profiles, &Technique::Sensor(config), sim);
-            let outcomes = compare_suites(base, &results);
-            Table4Row {
-                config,
-                summary: Summary::from_outcomes(&outcomes),
-                outcomes,
-            }
-        })
-        .collect()
-}
-
 /// One row of Table 5: pipeline damping at one δ.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table5Row {
@@ -230,24 +219,6 @@ pub struct Table5Row {
     pub summary: Summary,
     /// Per-app outcomes backing the summary.
     pub outcomes: Vec<RelativeOutcome>,
-}
-
-/// Reproduces Table 5: sweep δ.
-pub fn table5(sim: &SimConfig, deltas: &[f64], base: &[SimResult]) -> Vec<Table5Row> {
-    let profiles = spec2k::all();
-    deltas
-        .iter()
-        .map(|&d| {
-            let technique = Technique::Damping(DampingConfig::isca04_table5(d));
-            let results = run_suite(&profiles, &technique, sim);
-            let outcomes = compare_suites(base, &results);
-            Table5Row {
-                delta_relative: d,
-                summary: Summary::from_outcomes(&outcomes),
-                outcomes,
-            }
-        })
-        .collect()
 }
 
 /// Builds the Table 2 rows a supervised base suite can still support: one
@@ -267,29 +238,33 @@ pub fn table2_from_supervised(base: &SupervisedSuite) -> Vec<Table2Row> {
         .collect()
 }
 
-/// Supervised Table 3: each response-time design point runs under the
-/// policy; a row covers the apps that succeeded in both that point and the
-/// base suite, and a design point with no surviving pairs yields no row.
-/// One scope-labelled [`FailureReport`] is returned per design point.
+/// Reproduces Table 3: each response-time design point runs under the
+/// policy through [`run_suite_policed`] (with `store`, if given); a row
+/// covers the apps that succeeded in both that point and the base suite,
+/// and a design point with no surviving pairs yields no row. One
+/// scope-labelled [`FailureReport`] is returned per design point.
 pub fn table3_supervised(
     sim: &SimConfig,
     response_times: &[u32],
     base: &SupervisedSuite,
     policy: &RunPolicy,
+    store: Option<&RunStore>,
 ) -> (Vec<Table3Row>, Vec<FailureReport>) {
-    table3_supervised_for(sim, &spec2k::all(), response_times, base, policy)
+    table3_supervised_for(sim, &spec2k::all(), response_times, base, policy, store)
 }
 
-/// Supervised [`table3_riscv`] (see [`table3_supervised`] for the
-/// degradation rules). `base` must come from
-/// [`corpus_base_suite_supervised`].
+/// Table 3 over the RISC-V corpus: the same response-time sweep, with each
+/// design point executing the real programs' lowered traces instead of the
+/// synthetic streams (see [`table3_supervised`] for the degradation
+/// rules). `base` must come from [`corpus_base_suite_supervised`].
 pub fn table3_riscv_supervised(
     sim: &SimConfig,
     response_times: &[u32],
     base: &SupervisedSuite,
     policy: &RunPolicy,
+    store: Option<&RunStore>,
 ) -> (Vec<Table3Row>, Vec<FailureReport>) {
-    table3_supervised_for(sim, &corpus::all(), response_times, base, policy)
+    table3_supervised_for(sim, &corpus::all(), response_times, base, policy, store)
 }
 
 fn table3_supervised_for(
@@ -298,12 +273,14 @@ fn table3_supervised_for(
     response_times: &[u32],
     base: &SupervisedSuite,
     policy: &RunPolicy,
+    store: Option<&RunStore>,
 ) -> (Vec<Table3Row>, Vec<FailureReport>) {
     let mut rows = Vec::new();
     let mut reports = Vec::new();
     for &t in response_times {
         let technique = Technique::Tuning(TuningConfig::isca04_table1(t));
-        let suite = run_suite_policed(profiles, &technique, sim, policy, &format!("tuning-{t}"));
+        let scope = format!("tuning-{t}");
+        let suite = run_suite_policed(profiles, &technique, sim, policy, &scope, store);
         let outcomes = paired_outcomes(base, &suite);
         if !outcomes.is_empty() {
             rows.push(Table3Row {
@@ -317,13 +294,14 @@ fn table3_supervised_for(
     (rows, reports)
 }
 
-/// Supervised Table 4 (see [`table3_supervised`] for the degradation
-/// rules).
+/// Reproduces Table 4: sweep the sensor technique's threshold, noise, and
+/// delay (see [`table3_supervised`] for the degradation rules).
 pub fn table4_supervised(
     sim: &SimConfig,
     configs: &[SensorConfig],
     base: &SupervisedSuite,
     policy: &RunPolicy,
+    store: Option<&RunStore>,
 ) -> (Vec<Table4Row>, Vec<FailureReport>) {
     let profiles = spec2k::all();
     let mut rows = Vec::new();
@@ -335,7 +313,8 @@ pub fn table4_supervised(
             config.sensor_noise_pp.volts() * 1e3,
             config.delay_cycles
         );
-        let suite = run_suite_policed(&profiles, &Technique::Sensor(config), sim, policy, &scope);
+        let technique = Technique::Sensor(config);
+        let suite = run_suite_policed(&profiles, &technique, sim, policy, &scope, store);
         let outcomes = paired_outcomes(base, &suite);
         if !outcomes.is_empty() {
             rows.push(Table4Row {
@@ -349,20 +328,22 @@ pub fn table4_supervised(
     (rows, reports)
 }
 
-/// Supervised Table 5 (see [`table3_supervised`] for the degradation
-/// rules).
+/// Reproduces Table 5: sweep δ (see [`table3_supervised`] for the
+/// degradation rules).
 pub fn table5_supervised(
     sim: &SimConfig,
     deltas: &[f64],
     base: &SupervisedSuite,
     policy: &RunPolicy,
+    store: Option<&RunStore>,
 ) -> (Vec<Table5Row>, Vec<FailureReport>) {
     let profiles = spec2k::all();
     let mut rows = Vec::new();
     let mut reports = Vec::new();
     for &d in deltas {
         let technique = Technique::Damping(DampingConfig::isca04_table5(d));
-        let suite = run_suite_policed(&profiles, &technique, sim, policy, &format!("damping-{d}"));
+        let scope = format!("damping-{d}");
+        let suite = run_suite_policed(&profiles, &technique, sim, policy, &scope, store);
         let outcomes = paired_outcomes(base, &suite);
         if !outcomes.is_empty() {
             rows.push(Table5Row {
@@ -435,8 +416,8 @@ mod tests {
         let technique = Technique::Tuning(TuningConfig::isca04_table1(100));
         let policy = RunPolicy::none();
 
-        let base_sup = run_suite_policed(&profiles, &Technique::Base, &sim, &policy, "base");
-        let tech_sup = run_suite_policed(&profiles, &technique, &sim, &policy, "tuning-100");
+        let base_sup = run_suite_policed(&profiles, &Technique::Base, &sim, &policy, "base", None);
+        let tech_sup = run_suite_policed(&profiles, &technique, &sim, &policy, "tuning-100", None);
         assert!(base_sup.report.is_empty() && tech_sup.report.is_empty());
 
         let base = run_suite(&profiles, &Technique::Base, &sim);
@@ -461,9 +442,9 @@ mod tests {
             ..RunPolicy::none()
         };
 
-        let base = run_suite_policed(&profiles, &Technique::Base, &sim, &clean, "base");
+        let base = run_suite_policed(&profiles, &Technique::Base, &sim, &clean, "base", None);
         let technique = Technique::Tuning(TuningConfig::isca04_table1(100));
-        let tech = run_suite_policed(&profiles, &technique, &sim, &faulty, "tuning-100");
+        let tech = run_suite_policed(&profiles, &technique, &sim, &faulty, "tuning-100", None);
 
         let outcomes = paired_outcomes(&base, &tech);
         assert_eq!(outcomes.len(), 2, "the failed app must be dropped");

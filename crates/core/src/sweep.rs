@@ -11,8 +11,9 @@
 //! directory, so overlapping sweeps share every common run: a second sweep
 //! that widens one axis re-simulates only the new points.
 //!
-//! Execution routes through [`run_suite_supervised`], so sweeps inherit
-//! the whole supervision stack — watchdogs, retries, checkpoint/resume
+//! Execution routes through [`run_suite_policed`], the store-backed
+//! supervised path the paper harnesses use too, so sweeps inherit the whole
+//! supervision stack — watchdogs, retries, checkpoint/resume
 //! (an interrupted sweep resumes bit-identically), the worker pool, and
 //! `--connect` mesh offload — without any sweep-specific scheduling. Each
 //! (class, PDN) group finally reports its Pareto frontier over (violation
@@ -31,21 +32,26 @@ use workloads::{corpus, spec2k, WorkloadProfile};
 use crate::baselines::{DampingConfig, SensorConfig};
 use crate::config::{RunPolicy, TuningConfig};
 use crate::engine::{
-    atomic_write, baseline_cache_dir, crc_line, discard_stale, run_suite_supervised,
-    split_crc_line, warn_identity_mismatch, CacheKey,
+    atomic_write, baseline_cache_dir, crc_line, discard_stale, split_crc_line,
+    warn_identity_mismatch, CacheKey,
 };
+use crate::experiment::run_suite_policed;
 use crate::metrics::{RelativeOutcome, Summary};
 use crate::obs;
 use crate::sim::{SimConfig, SimResult, Technique};
 
 /// Bumped when the run-store row format or the meaning of a stored run
-/// changes; stale files are discarded on read.
+/// changes; stale files are discarded on read. Any change to what a run
+/// computes — the simulator, a technique, a workload generator — must bump
+/// it too: the paper harnesses serve warm reruns from the store, and the
+/// key covers only the run's *configuration*, not the code that ran it.
 const RUN_SCHEMA: u32 = 1;
 
 /// Default size bound of the run store (256 MiB).
 const STORE_MAX_BYTES: u64 = 256 * 1024 * 1024;
 
-/// Default age past which an untouched store record is evicted (30 days).
+/// Default age past which a record neither written nor served is evicted
+/// (30 days).
 const STORE_MAX_AGE: Duration = Duration::from_secs(30 * 24 * 3600);
 
 /// [`CacheKey`] of one application run: the workload profile, the technique
@@ -72,12 +78,13 @@ pub struct EvictStats {
 /// the full identity string and per-line CRC32s.
 ///
 /// The store generalizes the recorded-baseline cache from whole base
-/// suites to *every* run a sweep produces. Its integrity contract matches
-/// the other cache planes: a fingerprint hit whose stored identity differs
-/// (a 64-bit collision) is a miss with an `obs::warn`, never a silent
-/// wrong-result reuse, and the colliding file — valid for its own
-/// configuration — is left in place. Torn or damaged records are deleted
-/// and re-simulated. Writes are crash-consistent (`atomic_write`).
+/// suites to *every* technique run a sweep or a paper harness produces
+/// ([`run_suite_policed`]). Its integrity contract matches the other cache
+/// planes: a fingerprint hit whose stored identity differs (a 64-bit
+/// collision) is a miss with an `obs::warn`, never a silent wrong-result
+/// reuse, and the colliding file — valid for its own configuration — is
+/// left in place. Torn or damaged records are deleted and re-simulated.
+/// Writes are crash-consistent (`atomic_write`).
 #[derive(Debug, Clone)]
 pub struct RunStore {
     dir: PathBuf,
@@ -111,10 +118,18 @@ impl RunStore {
     /// Looks up the stored result for `key`, verifying the fingerprint,
     /// the full identity string, and the row CRC. Every outcome bumps the
     /// `store.hits` / `store.misses` counters; an identity mismatch also
-    /// bumps `store.identity_mismatches`.
+    /// bumps `store.identity_mismatches`. A hit refreshes the record's
+    /// modification time, so [`RunStore::evict`] ages records by their last
+    /// use rather than by when they were written.
     pub fn get(&self, key: &CacheKey) -> Option<SimResult> {
         let result = self.read(key);
         let counter = if result.is_some() {
+            // Best-effort: a read-only store still serves, it only ages
+            // from the write.
+            let _ = std::fs::File::options()
+                .write(true)
+                .open(self.path_for(key.fingerprint))
+                .and_then(|f| f.set_modified(std::time::SystemTime::now()));
             "store.hits"
         } else {
             "store.misses"
@@ -173,13 +188,14 @@ impl RunStore {
         atomic_write(&self.path_for(key.fingerprint), body.as_bytes())
     }
 
-    /// Bounds the store: removes records untouched for longer than
-    /// `RESTUNE_STORE_MAX_AGE_SECS` (default 30 days), then — oldest first —
-    /// until the store fits in `RESTUNE_STORE_MAX_BYTES` (default 256 MiB).
-    /// Evictions are surfaced on the `store.evictions` counter. Called
-    /// automatically at the end of every [`run_sweep`]; without a bound,
-    /// a long-lived cache directory would accumulate every run any sweep
-    /// ever produced.
+    /// Bounds the store: removes records neither written nor served for
+    /// longer than `RESTUNE_STORE_MAX_AGE_SECS` (default 30 days), then —
+    /// least recently used first — until the store fits in
+    /// `RESTUNE_STORE_MAX_BYTES` (default 256 MiB). Evictions are surfaced
+    /// on the `store.evictions` counter. Called automatically at the end of
+    /// every [`run_sweep`] and of every suite harness process; without a
+    /// bound, a long-lived cache directory would accumulate every run any
+    /// sweep or harness ever produced.
     pub fn evict(&self) -> EvictStats {
         let max_age = crate::envcfg::positive_f64(
             "RESTUNE_STORE_MAX_AGE_SECS",
@@ -523,22 +539,19 @@ impl SweepOutcome {
     }
 }
 
-/// Expands `spec` and executes every point, sharing individual runs
-/// through `store` and supervising suites with `policy` (so `--resume`
-/// checkpointing, watchdogs, fault plans, and `--connect` all
-/// apply). Emits `sweep-start` / `sweep-point` / `frontier-point` /
-/// `sweep-end` trace events and finishes with a store eviction pass.
-///
-/// When the policy's fault plan carries result-perturbing faults the store
-/// is bypassed entirely — perturbed results must never poison the clean
-/// store, and clean records must never mask an injected fault.
+/// Expands `spec` and executes every point through
+/// [`run_suite_policed`], sharing individual runs through `store` and
+/// supervising suites with `policy` (so `--resume` checkpointing,
+/// watchdogs, fault plans, and `--connect` all apply; a plan with
+/// result-perturbing faults bypasses the store). Emits `sweep-start` /
+/// `sweep-point` / `frontier-point` / `sweep-end` trace events and
+/// finishes with a store eviction pass.
 ///
 /// # Errors
 ///
 /// Returns a description of the first suite whose applications exhausted
-/// their retries; previously completed suites stay in the store, and the
-/// failed suite's completed applications stay in its checkpoint, so a
-/// re-run resumes instead of restarting.
+/// their retries; every application that completed, in that suite too,
+/// stays in the store, so a re-run simulates only what failed.
 pub fn run_sweep(
     spec: &GridSpec,
     policy: &RunPolicy,
@@ -552,7 +565,6 @@ pub fn run_sweep(
         .u64_field("instructions", spec.instructions)
         .emit();
 
-    let use_store = !policy.plan.has_result_faults();
     let mut outcome = SweepOutcome {
         points: Vec::new(),
         runs: 0,
@@ -567,16 +579,24 @@ pub fn run_sweep(
             let sim = sim_for(pdn_scale, spec.instructions)?;
             let mut group = Vec::with_capacity(techniques.len());
             for (label, technique) in &techniques {
-                let results = suite_results(
-                    &profiles,
-                    technique,
-                    &sim,
-                    policy,
-                    store,
-                    use_store,
-                    &mut outcome,
-                )
-                .map_err(|e| format!("{}/pdn={pdn_scale}/{label}: {e}", class.name()))?;
+                let suite =
+                    run_suite_policed(&profiles, technique, &sim, policy, label, Some(store));
+                let runs = profiles.len() as u64;
+                outcome.runs += runs;
+                outcome.store_hits += suite.store_hits as u64;
+                outcome.store_misses += runs - suite.store_hits as u64;
+                let results = suite.all_results().ok_or_else(|| {
+                    let failed: Vec<String> = suite
+                        .outcomes
+                        .iter()
+                        .filter_map(|o| o.as_ref().err().map(ToString::to_string))
+                        .collect();
+                    format!(
+                        "{}/pdn={pdn_scale}/{label}: {}",
+                        class.name(),
+                        failed.join("; ")
+                    )
+                })?;
                 group.push((label.clone(), results));
             }
             let base = &group[0].1;
@@ -645,67 +665,6 @@ fn emit_point(kind: &str, point: &SweepPoint) {
         .f64_field("slowdown", point.summary.avg_slowdown)
         .f64_field("energy_delay", point.summary.avg_energy_delay)
         .emit();
-}
-
-/// One suite's results in profile order: store-served where possible, the
-/// missing subset simulated through [`run_suite_supervised`] and recorded.
-#[allow(clippy::too_many_arguments)]
-fn suite_results(
-    profiles: &[WorkloadProfile],
-    technique: &Technique,
-    sim: &SimConfig,
-    policy: &RunPolicy,
-    store: &RunStore,
-    use_store: bool,
-    outcome: &mut SweepOutcome,
-) -> Result<Vec<SimResult>, String> {
-    let keys: Vec<CacheKey> = profiles
-        .iter()
-        .map(|p| run_key(p, technique, sim))
-        .collect();
-    outcome.runs += profiles.len() as u64;
-    let mut results: Vec<Option<SimResult>> = if use_store {
-        keys.iter().map(|k| store.get(k)).collect()
-    } else {
-        vec![None; profiles.len()]
-    };
-    if use_store {
-        let hits = results.iter().filter(|r| r.is_some()).count() as u64;
-        outcome.store_hits += hits;
-        outcome.store_misses += profiles.len() as u64 - hits;
-    } else {
-        outcome.store_misses += profiles.len() as u64;
-    }
-
-    let missing: Vec<usize> = (0..profiles.len())
-        .filter(|&i| results[i].is_none())
-        .collect();
-    if missing.is_empty() {
-        return Ok(results.into_iter().flatten().collect());
-    }
-    let subset: Vec<WorkloadProfile> = missing.iter().map(|&i| profiles[i]).collect();
-    let suite = run_suite_supervised(&subset, technique, sim, &policy.supervisor, &policy.plan);
-    let Some(fresh) = suite.all_results() else {
-        let failed: Vec<String> = suite
-            .outcomes
-            .iter()
-            .filter_map(|o| o.as_ref().err())
-            .map(|f| f.to_string())
-            .collect();
-        return Err(failed.join("; "));
-    };
-    for (&slot, result) in missing.iter().zip(fresh) {
-        if use_store {
-            if let Err(e) = store.put(&keys[slot], &result) {
-                obs::warn(
-                    "store",
-                    &format!("cannot record run {:016x}: {e}", keys[slot].fingerprint),
-                );
-            }
-        }
-        results[slot] = Some(result);
-    }
-    Ok(results.into_iter().flatten().collect())
 }
 
 #[cfg(test)]
@@ -840,6 +799,40 @@ mod tests {
         for sim in &sims {
             assert_eq!(store.get(&run_key(&profile, &Technique::Base, sim)), None);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_served_record_outlives_the_age_bound() {
+        let dir = std::env::temp_dir().join(format!("restune-sweep-age-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = RunStore::open(dir.clone());
+        let profile = spec2k::by_name("mcf").expect("mcf is in the suite");
+        let keys: Vec<CacheKey> = (1..=2)
+            .map(|i| {
+                let sim = SimConfig::isca04(1_000 * i);
+                let key = run_key(&profile, &Technique::Base, &sim);
+                let result = crate::sim::run(&profile, &Technique::Base, &sim);
+                store.put(&key, &result).expect("put succeeds");
+                // Both records were written an hour ago.
+                let hour_ago = std::time::SystemTime::now() - Duration::from_secs(3600);
+                std::fs::File::options()
+                    .write(true)
+                    .open(store.path_for(key.fingerprint))
+                    .and_then(|f| f.set_modified(hour_ago))
+                    .expect("backdating succeeds");
+                key
+            })
+            .collect();
+
+        // Serving the first record refreshes it; the second stays stale.
+        assert!(store.get(&keys[0]).is_some());
+        let evicted = with_env(&[("RESTUNE_STORE_MAX_AGE_SECS", Some("60"))], || {
+            store.evict()
+        });
+        assert_eq!(evicted.files, 1, "only the unserved record is expired");
+        assert!(store.get(&keys[0]).is_some(), "the served record survives");
+        assert_eq!(store.get(&keys[1]), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -3,11 +3,13 @@
 //! `SimResult` rows.
 
 use restune::engine::{
-    base_key, cached_base_suite, checkpoint_path, corpus_base_key, load_baseline,
-    run_suite_supervised, save_baseline, suite_key, try_run_suite,
+    base_key, checkpoint_path, corpus_base_key, load_baseline, run_suite_supervised, save_baseline,
+    suite_key, try_run_suite,
 };
-use restune::experiment::run_suite;
-use restune::{run, FaultPlan, FaultSpec, SimConfig, SupervisorConfig, Technique, TuningConfig};
+use restune::experiment::{base_suite_supervised, run_suite, table3_supervised};
+use restune::{
+    run, FaultPlan, FaultSpec, RunPolicy, SimConfig, SupervisorConfig, Technique, TuningConfig,
+};
 use workloads::{corpus, spec2k};
 
 const APPS: [&str; 3] = ["mcf", "parser", "fma3d"];
@@ -174,9 +176,10 @@ fn table_drivers_share_one_base_simulation() {
     let _ = std::fs::remove_file(restune::engine::baseline_path(&sim));
     assert_eq!(restune::engine::base_suite_simulations(&sim), 0);
 
+    let policy = RunPolicy::none();
     for _ in 0..2 {
-        let base = cached_base_suite(&sim);
-        let rows = restune::experiment::table3(&sim, &[100], &base.results);
+        let base = base_suite_supervised(&sim, &policy);
+        let (rows, _) = table3_supervised(&sim, &[100], &base, &policy, None);
         assert_eq!(rows.len(), 1);
     }
 

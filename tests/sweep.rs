@@ -1,14 +1,18 @@
 //! Sweep tier: the parameter-grid driver must share every individual run
 //! between overlapping sweeps through the content-addressed store, resume
 //! an interrupted sweep bit-identically through the checkpoint machinery,
-//! and never let a fingerprint collision smuggle a wrong result in.
+//! and never let a fingerprint collision smuggle a wrong result in. The
+//! paper's table drivers read and fill the same store through the same
+//! supervised suite path.
 
 use restune::engine::CacheKey;
+use restune::experiment::{run_suite_policed, table3_supervised};
+use restune::testenv::with_env;
 use restune::{
-    run, run_key, run_sweep, FaultPlan, FaultSpec, GridSpec, RunPolicy, RunStore, SimConfig,
-    SupervisorConfig, Technique,
+    run, run_key, run_sweep, sim_for, FaultPlan, FaultSpec, GridSpec, RunPolicy, RunStore,
+    SimConfig, SupervisorConfig, Technique, TuningConfig,
 };
-use workloads::spec2k;
+use workloads::{corpus, spec2k};
 
 fn grid(pairs: &[(&str, &str)], instructions: u64) -> GridSpec {
     let pairs: Vec<(String, String)> = pairs
@@ -151,5 +155,111 @@ fn forced_store_collision_is_a_miss_never_a_wrong_result() {
         Some(result),
         "the rightful record survives the collision probe"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn no_retries(plan: FaultPlan) -> RunPolicy {
+    RunPolicy {
+        supervisor: SupervisorConfig {
+            max_retries: 0,
+            ..SupervisorConfig::default()
+        },
+        plan,
+    }
+}
+
+fn records(dir: &std::path::Path) -> usize {
+    std::fs::read_dir(dir).map(|e| e.count()).unwrap_or(0)
+}
+
+#[test]
+fn table_driver_rerun_is_served_from_the_store_bit_identically() {
+    let dir = scratch("table-rerun");
+    let store = RunStore::open(dir.clone());
+    let sim = SimConfig::isca04(3_000);
+    let clean = RunPolicy::none();
+    let base = run_suite_policed(&spec2k::all(), &Technique::Base, &sim, &clean, "base", None);
+
+    let (reference, _) = table3_supervised(&sim, &[100], &base, &clean, None);
+    let (cold, _) = table3_supervised(&sim, &[100], &base, &clean, Some(&store));
+    assert_eq!(cold, reference, "recording must not change the rows");
+    assert_eq!(records(&dir), spec2k::all().len());
+
+    // Every application panics if it is simulated, so the rerun completes
+    // only if the store serves every technique run.
+    let panicking = no_retries(spec2k::all().iter().fold(FaultPlan::none(), |plan, p| {
+        plan.with_persistent_fault(p.name, FaultSpec::WorkerPanic)
+    }));
+    let (warm, reports) = table3_supervised(&sim, &[100], &base, &panicking, Some(&store));
+    assert!(
+        reports.iter().all(|r| r.is_empty()),
+        "the rerun simulated something: {reports:?}"
+    );
+    assert_eq!(warm, reference, "store-served rows are bit-identical");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failed_app_does_not_cost_its_suite_the_other_records() {
+    let dir = scratch("partial");
+    let store = RunStore::open(dir.clone());
+    let spec = grid(&[("workloads", "corpus")], 8_000);
+    let crashing =
+        no_retries(FaultPlan::none().with_persistent_fault("quicksort", FaultSpec::WorkerPanic));
+    assert!(run_sweep(&spec, &crashing, &store).is_err());
+
+    let sim = sim_for(1.0, 8_000).expect("the paper's PDN is valid");
+    for p in corpus::all() {
+        let stored = store.get(&run_key(&p, &Technique::Base, &sim));
+        assert_eq!(
+            stored.is_some(),
+            p.name != "quicksort",
+            "{}: every completed run of the failed suite is recorded",
+            p.name
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn result_perturbing_faults_bypass_the_store() {
+    let dir = scratch("perturbed");
+    let store = RunStore::open(dir.clone());
+    let profiles: Vec<_> = spec2k::all().into_iter().take(2).collect();
+    let sim = SimConfig::isca04(3_000);
+    let technique = Technique::Tuning(TuningConfig::isca04_table1(100));
+    let noisy = no_retries(FaultPlan::none().with_persistent_fault(
+        profiles[0].name,
+        FaultSpec::SensorNoise {
+            sigma: 0.5,
+            seed: 7,
+        },
+    ));
+
+    let perturbed = run_suite_policed(&profiles, &technique, &sim, &noisy, "t", Some(&store));
+    assert_eq!(perturbed.completed(), profiles.len());
+    assert_eq!(records(&dir), 0, "a perturbed suite records nothing");
+
+    // Nor do clean records mask the injected fault.
+    let clean = RunPolicy::none();
+    run_suite_policed(&profiles, &technique, &sim, &clean, "t", Some(&store));
+    assert_eq!(records(&dir), profiles.len());
+    let again = run_suite_policed(&profiles, &technique, &sim, &noisy, "t", Some(&store));
+    assert_eq!(again.store_hits, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_storeless_path_creates_no_store() {
+    let dir = scratch("storeless");
+    let profiles: Vec<_> = spec2k::all().into_iter().take(2).collect();
+    let sim = SimConfig::isca04(3_000);
+    let technique = Technique::Tuning(TuningConfig::isca04_table1(100));
+    let cache = dir.to_str().expect("temp dir is UTF-8");
+    let suite = with_env(&[("RESTUNE_CACHE_DIR", Some(cache))], || {
+        run_suite_policed(&profiles, &technique, &sim, &RunPolicy::none(), "t", None)
+    });
+    assert_eq!(suite.completed(), profiles.len());
+    assert!(!dir.join("store").exists(), "no store without a RunStore");
     let _ = std::fs::remove_dir_all(&dir);
 }
