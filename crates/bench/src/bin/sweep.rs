@@ -25,15 +25,13 @@ usage: sweep [--grid KEY=VALUES]... [harness options]
                       (instructions defaults to the harness -n value)
 
   All harness options apply; --resume checkpoints suites so an
-  interrupted sweep resumes bit-identically, and --connect fans runs out
-  across a restuned mesh.
+  interrupted sweep resumes bit-identically.
 ";
 
 fn main() {
     let _shutdown = bench::harness_init();
     let (grid, args) = parse_args();
     let _trace = bench::init_trace(&args);
-    let _connect = bench::init_connect(&args);
     let policy = args.policy();
 
     let spec = match GridSpec::parse(&grid, args.instructions) {

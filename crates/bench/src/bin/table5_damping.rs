@@ -13,7 +13,6 @@ fn main() {
     let _shutdown = bench::harness_init();
     let args = HarnessArgs::parse();
     let _trace = bench::init_trace(&args);
-    let _connect = bench::init_connect(&args);
     let store = bench::open_store();
     let policy = args.policy();
     let sim = SimConfig::isca04(args.instructions);

@@ -1,15 +1,12 @@
 //! Summarizes a JSON-lines trace written by `--trace-out` / `RESTUNE_TRACE`:
 //! event histogram, per-app violation and waveform-window breakdown, engine
-//! span timings, mesh routing activity (per-host job counts, reroutes,
-//! breaker transitions), sweep activity (points and frontier sizes per
-//! workload class), and the final counter registry. With `--check` it
-//! validates every line against the event-log schema — including the mesh
-//! event shapes (`mesh-reroute` and `mesh-breaker` must carry a numeric
-//! `host`; `mesh-breaker` a string `state`; `chaos-step` a string `class`)
-//! and the sweep event shapes (`sweep-point` / `frontier-point` must carry
-//! a string `class` and `technique` plus numeric `pdn`, `violations`,
-//! `slowdown`, and `energy_delay`) — and exits non-zero on the first
-//! malformed record; the CI trace stage runs it in that mode.
+//! span timings, sweep activity (points and frontier sizes per workload
+//! class), and the final counter registry. With `--check` it validates
+//! every line against the event-log schema — including the sweep event
+//! shapes (`sweep-point` / `frontier-point` must carry a string `class`
+//! and `technique` plus numeric `pdn`, `violations`, `slowdown`, and
+//! `energy_delay`) — and exits non-zero on the first malformed record;
+//! the CI trace stage runs it in that mode.
 
 use std::collections::BTreeMap;
 use std::io::{self, Write};
@@ -63,9 +60,6 @@ fn main() -> ExitCode {
     let mut apps: BTreeMap<String, (u64, u64, Vec<u64>)> = BTreeMap::new();
     let mut counters: Vec<(String, u64)> = Vec::new();
     let mut spans: Vec<(String, f64)> = Vec::new();
-    // breaker state -> transitions, chaos class -> steps
-    let mut breaker_transitions: BTreeMap<String, u64> = BTreeMap::new();
-    let mut chaos_steps: BTreeMap<String, u64> = BTreeMap::new();
     // workload class -> (sweep points, frontier points)
     let mut sweep_classes: BTreeMap<String, (u64, u64)> = BTreeMap::new();
     let mut suite_start: Option<f64> = None;
@@ -78,7 +72,6 @@ fn main() -> ExitCode {
         total += 1;
         let validity = validate_line(line).and_then(|()| {
             let event = parse_json(line).expect("validate_line parsed it");
-            validate_mesh_shape(&event)?;
             validate_sweep_shape(&event)?;
             Ok(event)
         });
@@ -124,16 +117,6 @@ fn main() -> ExitCode {
                     counters.push((name.to_string(), value as u64));
                 }
             }
-            "mesh-breaker" => {
-                if let Some(state) = event.get("state").and_then(JsonValue::as_str) {
-                    *breaker_transitions.entry(state.to_string()).or_insert(0) += 1;
-                }
-            }
-            "chaos-step" => {
-                if let Some(class) = event.get("class").and_then(JsonValue::as_str) {
-                    *chaos_steps.entry(class.to_string()).or_insert(0) += 1;
-                }
-            }
             "sweep-point" | "frontier-point" => {
                 if let Some(class) = event.get("class").and_then(JsonValue::as_str) {
                     let entry = sweep_classes.entry(class.to_string()).or_default();
@@ -163,8 +146,6 @@ fn main() -> ExitCode {
         }
     }
 
-    let mesh = MeshSummary::from_trace(&counters, &histogram, breaker_transitions, chaos_steps);
-
     // A closed pipe (`trace_report ... | head`) is a normal way to consume
     // the summary, so a broken-pipe write ends the program quietly instead
     // of panicking like println! would.
@@ -177,7 +158,6 @@ fn main() -> ExitCode {
         &apps,
         &spans,
         &counters,
-        &mesh,
         &sweep_classes,
     ) {
         Ok(()) => ExitCode::SUCCESS,
@@ -187,24 +167,6 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// The `--check` schema gate for mesh events: beyond the generic event-log
-/// schema, mesh records carry typed routing fields the chaos stages (and
-/// this report) depend on.
-fn validate_mesh_shape(event: &JsonValue) -> Result<(), String> {
-    let kind = event.get("kind").and_then(JsonValue::as_str).unwrap_or("");
-    let needs_host = matches!(kind, "mesh-reroute" | "mesh-breaker" | "chaos-step");
-    if needs_host && event.get("host").and_then(JsonValue::as_f64).is_none() {
-        return Err(format!("{kind} event without a numeric 'host' field"));
-    }
-    if kind == "mesh-breaker" && event.get("state").and_then(JsonValue::as_str).is_none() {
-        return Err("mesh-breaker event without a string 'state' field".to_string());
-    }
-    if kind == "chaos-step" && event.get("class").and_then(JsonValue::as_str).is_none() {
-        return Err("chaos-step event without a string 'class' field".to_string());
-    }
-    Ok(())
 }
 
 /// The `--check` schema gate for sweep events: point records carry the
@@ -234,67 +196,6 @@ fn validate_sweep_shape(event: &JsonValue) -> Result<(), String> {
     Ok(())
 }
 
-/// Aggregated mesh routing activity: per-host job/failure counters plus the
-/// failover and breaker totals.
-#[derive(Default)]
-struct MeshSummary {
-    /// host index -> (jobs, failures)
-    per_host: BTreeMap<u64, (u64, u64)>,
-    /// `mesh.*` totals by counter name (reroutes, breaker_opens, ...).
-    totals: BTreeMap<String, u64>,
-    /// breaker state -> transition events observed.
-    breaker_transitions: BTreeMap<String, u64>,
-    /// chaos step class -> steps applied.
-    chaos_steps: BTreeMap<String, u64>,
-}
-
-impl MeshSummary {
-    fn from_trace(
-        counters: &[(String, u64)],
-        histogram: &BTreeMap<String, u64>,
-        breaker_transitions: BTreeMap<String, u64>,
-        chaos_steps: BTreeMap<String, u64>,
-    ) -> MeshSummary {
-        let mut mesh = MeshSummary {
-            breaker_transitions,
-            chaos_steps,
-            ..MeshSummary::default()
-        };
-        for (name, value) in counters {
-            let Some(rest) = name.strip_prefix("mesh.") else {
-                continue;
-            };
-            if let Some(per_host) = rest.strip_prefix("host") {
-                if let Some((index, field)) = per_host.split_once('.') {
-                    if let Ok(index) = index.parse::<u64>() {
-                        let entry = mesh.per_host.entry(index).or_default();
-                        match field {
-                            "jobs" => entry.0 += value,
-                            "failures" => entry.1 += value,
-                            _ => {}
-                        }
-                        continue;
-                    }
-                }
-            }
-            *mesh.totals.entry(rest.to_string()).or_insert(0) += value;
-        }
-        for kind in ["mesh-reroute", "mesh-breaker", "chaos-step"] {
-            if let Some(count) = histogram.get(kind) {
-                *mesh.totals.entry(format!("{kind} events")).or_insert(0) += count;
-            }
-        }
-        mesh
-    }
-
-    fn is_empty(&self) -> bool {
-        self.per_host.is_empty()
-            && self.totals.is_empty()
-            && self.breaker_transitions.is_empty()
-            && self.chaos_steps.is_empty()
-    }
-}
-
 #[allow(clippy::too_many_arguments, clippy::type_complexity)]
 fn print_report(
     mut out: impl Write,
@@ -304,7 +205,6 @@ fn print_report(
     apps: &BTreeMap<String, (u64, u64, Vec<u64>)>,
     spans: &[(String, f64)],
     counters: &[(String, u64)],
-    mesh: &MeshSummary,
     sweep_classes: &BTreeMap<String, (u64, u64)>,
 ) -> io::Result<()> {
     writeln!(out, "trace: {path} ({total} events)")?;
@@ -334,23 +234,6 @@ fn print_report(
         writeln!(out, "span timings:")?;
         for (label, seconds) in spans {
             writeln!(out, "  {label:<18} {seconds:.3}s")?;
-        }
-    }
-
-    if !mesh.is_empty() {
-        writeln!(out)?;
-        writeln!(out, "mesh:")?;
-        for (host, (jobs, failures)) in &mesh.per_host {
-            writeln!(out, "  host{host:<24} jobs={jobs:<8} failures={failures}")?;
-        }
-        for (name, value) in &mesh.totals {
-            writeln!(out, "  {name:<28} {value:>10}")?;
-        }
-        for (state, count) in &mesh.breaker_transitions {
-            writeln!(out, "  breaker->{state:<19} {count:>10}")?;
-        }
-        for (class, count) in &mesh.chaos_steps {
-            writeln!(out, "  {class:<28} {count:>10}")?;
         }
     }
 

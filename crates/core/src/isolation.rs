@@ -16,10 +16,9 @@
 //! Tier selection is `RESTUNE_ISOLATION`:
 //!
 //! * `thread` (default) — the in-process path; bit-identical to PR 2.
-//! * `process` — force child processes; warns and falls back in-process
-//!   when no worker entry is installed or a spawn fails.
-//! * `auto` — processes when the running binary installed a worker entry
-//!   (called [`maybe_run_worker`] at startup), threads otherwise.
+//! * `process` — child processes; warns and falls back in-process when
+//!   no worker entry is installed (the binary never called
+//!   [`maybe_run_worker`]) or a spawn fails.
 //!
 //! Children are always spawned with `RESTUNE_ISOLATION=thread` so a worker
 //! can never recursively spawn grandchildren.
@@ -44,8 +43,8 @@ use crate::wire;
 /// The hidden argv\[1\] that turns any harness binary into a worker.
 pub const WORKER_SUBCOMMAND: &str = "worker";
 
-/// Set once a binary has called [`maybe_run_worker`]; `auto` isolation only
-/// spawns children when the child would actually answer as a worker.
+/// Set once a binary has called [`maybe_run_worker`]; `process` isolation
+/// only spawns children when the child would actually answer as a worker.
 static WORKER_INSTALLED: AtomicBool = AtomicBool::new(false);
 
 /// Set by the SIGINT/SIGTERM handler; sticky for the process lifetime.
@@ -72,9 +71,9 @@ fn warn_once(latch: &AtomicBool, message: &str) {
 }
 
 /// `true` when spawning `current_exe() worker ...` would reach a worker
-/// entry. `RESTUNE_WORKER_ARGV` (a test hook, see [`spawn_attempt`])
+/// entry. `RESTUNE_WORKER_ARGV` (a test hook, see [`process_attempt`])
 /// counts: the spawned argv is then caller-supplied.
-pub(crate) fn worker_available() -> bool {
+fn worker_available() -> bool {
     WORKER_INSTALLED.load(Ordering::Relaxed) || std::env::var_os("RESTUNE_WORKER_ARGV").is_some()
 }
 
@@ -98,19 +97,12 @@ pub fn isolation_mode() -> IsolationMode {
                     IsolationMode::Thread
                 }
             }
-            "auto" => {
-                if worker_available() {
-                    IsolationMode::Process
-                } else {
-                    IsolationMode::Thread
-                }
-            }
             other => {
                 warn_once(
                     &WARNED_BAD_MODE,
                     &format!(
                         "invalid RESTUNE_ISOLATION='{other}' \
-                         (expected process, thread, or auto); running in-process"
+                         (expected process or thread); running in-process"
                     ),
                 );
                 IsolationMode::Thread
@@ -328,50 +320,18 @@ fn hard_kill_grace(timeout: Duration) -> Duration {
     timeout.max(Duration::from_secs(2))
 }
 
-/// Where a child's forwarded observability frames go.
-pub(crate) enum ObsRouting<'a> {
-    /// Decode the obs frame and absorb it into this process's trace sink
-    /// and counter registry (the harness path: the parent owns the trace).
-    Absorb,
-    /// Hand the raw `KIND_OBS` payload to a callback — the server path,
-    /// which re-frames it onto the requesting client's connection without
-    /// ever decoding it. Forces the child into wire-forwarding mode even
-    /// when this process traces nothing itself.
-    Relay(&'a (dyn Fn(&[u8]) + Sync)),
-}
-
-impl std::fmt::Debug for ObsRouting<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ObsRouting::Absorb => "ObsRouting::Absorb",
-            ObsRouting::Relay(_) => "ObsRouting::Relay(..)",
-        })
-    }
-}
-
 /// Runs one application attempt in a child process. Returns `None` when
 /// the attempt is not eligible for process isolation (mode, non-registry
 /// profile, non-`isca04` machine, spawn failure) — the caller then uses the
 /// in-process path. `Some(Err)` carries the classified failure.
-///
-/// `force` bypasses the `RESTUNE_ISOLATION` mode gate (the server always
-/// wants the process tier when a worker entry exists); it still requires a
-/// worker to actually be reachable. `obs` routes the child's forwarded
-/// observability frames (see [`ObsRouting`]).
 pub(crate) fn process_attempt(
     profile: &WorkloadProfile,
     technique: &Technique,
     sim: &SimConfig,
     specs: &[FaultSpec],
     timeout: Option<Duration>,
-    force: bool,
-    obs: &ObsRouting<'_>,
 ) -> Option<Result<InstrumentedRun, (FailureKind, String)>> {
-    if force {
-        if !worker_available() {
-            return None;
-        }
-    } else if isolation_mode() != IsolationMode::Process {
+    if isolation_mode() != IsolationMode::Process {
         return None;
     }
     // Eligibility: the wire codec sends the profile by *name* and the
@@ -418,10 +378,9 @@ pub(crate) fn process_attempt(
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit());
-    if matches!(obs, ObsRouting::Relay(_)) || crate::obs::trace_enabled() {
+    if crate::obs::trace_enabled() {
         // The child buffers its events and forwards them home in an obs
-        // frame rather than opening the parent's trace file itself. A
-        // relay route always wants the frame, whatever this process traces.
+        // frame rather than opening the parent's trace file itself.
         cmd.env("RESTUNE_TRACE", "wire");
     } else {
         cmd.env_remove("RESTUNE_TRACE");
@@ -506,15 +465,12 @@ pub(crate) fn process_attempt(
     let mut reply = None;
     for (kind, payload) in wire::scan_frames(&output) {
         match kind {
-            wire::KIND_OBS => match obs {
-                ObsRouting::Absorb => {
-                    if let Some((counters, lines)) = wire::decode_obs(payload) {
-                        crate::obs::counter_add("wire.obs_frames", 1);
-                        crate::obs::absorb_forwarded(&counters, &lines);
-                    }
+            wire::KIND_OBS => {
+                if let Some((counters, lines)) = wire::decode_obs(payload) {
+                    crate::obs::counter_add("wire.obs_frames", 1);
+                    crate::obs::absorb_forwarded(&counters, &lines);
                 }
-                ObsRouting::Relay(forward) => forward(payload),
-            },
+            }
             wire::KIND_RESULT | wire::KIND_FAILURE if reply.is_none() => {
                 reply = Some((kind, payload));
             }
@@ -600,8 +556,13 @@ mod tests {
             assert_eq!(got, expected, "RESTUNE_ISOLATION={value:?}");
         }
 
-        // With a worker argv hook, `process` and `auto` resolve to Process.
-        for value in ["process", "auto", "PROCESS"] {
+        // With a worker argv hook, `process` resolves to Process; any other
+        // value, `auto` included, falls back to Thread.
+        for (value, expected) in [
+            ("process", IsolationMode::Process),
+            ("PROCESS", IsolationMode::Process),
+            ("auto", IsolationMode::Thread),
+        ] {
             let got = with_env(
                 &[
                     ("RESTUNE_ISOLATION", Some(value)),
@@ -609,7 +570,7 @@ mod tests {
                 ],
                 isolation_mode,
             );
-            assert_eq!(got, IsolationMode::Process, "RESTUNE_ISOLATION={value}");
+            assert_eq!(got, expected, "RESTUNE_ISOLATION={value}");
         }
     }
 

@@ -56,7 +56,6 @@
 
 pub mod analysis;
 pub mod baselines;
-pub mod client;
 pub mod config;
 pub mod detector;
 pub mod engine;
@@ -65,11 +64,9 @@ pub mod experiment;
 pub mod fault;
 pub mod isolation;
 pub mod kernel;
-pub mod mesh;
 pub mod metrics;
 pub mod obs;
 pub mod response;
-pub mod server;
 pub mod sim;
 pub mod sweep;
 pub mod testenv;
@@ -77,7 +74,6 @@ mod wire;
 
 pub use analysis::{analyze, GuaranteeReport};
 pub use baselines::{DampingConfig, PipelineDamping, SensorConfig, VoltageSensor};
-pub use client::{clear_connect, connect_active, set_connect, set_net_faults};
 pub use config::{RunPolicy, SupervisorConfig, TuningConfig};
 pub use detector::{EventDetector, Polarity, ResonantEvent, WaveletConfig, WaveletDetector};
 pub use engine::{
@@ -86,18 +82,15 @@ pub use engine::{
     SuiteError, SuiteRun, SupervisedSuite,
 };
 pub use fault::{
-    parse_net_faults, AppFailure, ChaosSchedule, ChaosStep, FailureKind, FailureReport, FaultPlan,
-    FaultSpec, NetFaultSpec, StorageFault, StorageIncident,
+    AppFailure, FailureKind, FailureReport, FaultPlan, FaultSpec, StorageFault, StorageIncident,
 };
 pub use isolation::{
     install_signal_handlers, isolation_mode, maybe_run_worker, shutdown_requested, IsolationMode,
 };
 pub use kernel::{run_on_path, run_with_batch, EnginePath};
-pub use mesh::{job_shard, partition_host, rendezvous_order, shard_keys, ChaosConductor, Mesh};
 pub use metrics::{RelativeOutcome, RunMetrics, Summary};
 pub use obs::{CycleTracer, Event, JsonValue, TraceBuffer, TraceSink};
 pub use response::{ResonanceTuner, ResponseLevel, ResponseStats};
-pub use server::{Endpoint, Server, ServerConfig, ServerStats};
 pub use sim::{
     run, run_instrumented, run_observed, run_supervised, CycleRecord, InstrumentedRun,
     PhaseTimings, SimConfig, SimResult, Technique,

@@ -15,7 +15,7 @@
 //! supervised path the paper harnesses use too, so sweeps inherit the whole
 //! supervision stack — watchdogs, retries, checkpoint/resume
 //! (an interrupted sweep resumes bit-identically), the worker pool, and
-//! `--connect` mesh offload — without any sweep-specific scheduling. Each
+//! process isolation — without any sweep-specific scheduling. Each
 //! (class, PDN) group finally reports its Pareto frontier over (violation
 //! cycles, slowdown, energy-delay); because every execution path is
 //! bit-exact, the frontier is byte-identical however the runs were
@@ -465,8 +465,8 @@ fn parse_sensor_point(raw: &str) -> Result<SensorPoint, String> {
 }
 
 /// The machine configuration for one PDN scale: scale 1.0 is *exactly*
-/// [`SimConfig::isca04`] (so those runs stay wire-encodable and can be
-/// served by a `restuned` mesh); other scales multiply the Table 1 loop
+/// [`SimConfig::isca04`] (so those runs stay wire-encodable and eligible
+/// for process isolation); other scales multiply the Table 1 loop
 /// inductance, moving the resonant frequency by `1/sqrt(scale)`.
 ///
 /// # Errors
@@ -542,7 +542,7 @@ impl SweepOutcome {
 /// Expands `spec` and executes every point through
 /// [`run_suite_policed`], sharing individual runs through `store` and
 /// supervising suites with `policy` (so `--resume` checkpointing,
-/// watchdogs, fault plans, and `--connect` all apply; a plan with
+/// watchdogs, fault plans, and process isolation all apply; a plan with
 /// result-perturbing faults bypasses the store). Emits `sweep-start` /
 /// `sweep-point` / `frontier-point` / `sweep-end` trace events and
 /// finishes with a store eviction pass.

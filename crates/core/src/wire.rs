@@ -30,9 +30,9 @@ use crate::fault::{FailureKind, FaultSpec};
 use crate::sim::{InstrumentedRun, PhaseTimings, SimConfig, SimResult, Technique};
 
 /// Frame magic; readers scan input for this sequence.
-pub(crate) const MAGIC: [u8; 4] = *b"RSTF";
+const MAGIC: [u8; 4] = *b"RSTF";
 /// Wire-format version; bump on any layout change.
-pub(crate) const VERSION: u8 = 1;
+const VERSION: u8 = 1;
 
 /// Frame kinds.
 pub(crate) const KIND_JOB: u8 = 1;
@@ -40,45 +40,12 @@ pub(crate) const KIND_RESULT: u8 = 2;
 pub(crate) const KIND_FAILURE: u8 = 3;
 /// Observability forwarding: a worker's counters and buffered trace lines,
 /// written before its reply so the parent can splice them into its own sink.
-/// On a server connection the same kind streams a remote job's events back
-/// to the requesting tenant, incrementally, between replies.
 pub(crate) const KIND_OBS: u8 = 4;
-/// Server protocol: one tenant job request (`req_id`, obs flag, job payload).
-pub(crate) const KIND_REQUEST: u8 = 5;
-/// Server protocol: the reply to one request (`req_id`, cached flag, then a
-/// result or classified-failure payload).
-pub(crate) const KIND_REPLY: u8 = 6;
-/// Server protocol: admission rejected — the queue is full or the server is
-/// draining; carries `req_id` and a retry-after hint.
-pub(crate) const KIND_BUSY: u8 = 7;
-/// Server protocol: the client no longer wants `req_id`.
-pub(crate) const KIND_CANCEL: u8 = 8;
-/// Server protocol: client liveness beacon (empty payload); lets the server
-/// tell an idle-but-healthy tenant from a vanished peer.
-pub(crate) const KIND_HEARTBEAT: u8 = 9;
-/// Mesh protocol: the server's first frame on every accepted connection —
-/// its host generation (fresh per process start, so a restarted host is
-/// distinguishable from a long-lived one) and its advertised peer list.
-pub(crate) const KIND_HELLO: u8 = 10;
-/// Mesh protocol: a half-open circuit-breaker probe (`nonce`); cheap, never
-/// queued behind jobs, answered immediately by [`KIND_PROBE_ACK`].
-pub(crate) const KIND_PROBE: u8 = 11;
-/// Mesh protocol: the reply to one probe (`nonce`, host generation).
-pub(crate) const KIND_PROBE_ACK: u8 = 12;
 
 /// Cap on the fault-spec count a job frame may declare. Counts are read off
 /// the wire *before* any allocation, so a corrupt length fails as a
 /// transport error instead of a giant `Vec::with_capacity`.
-pub(crate) const MAX_JOB_SPECS: usize = 1_024;
-
-/// Cap on the peer-endpoint count a hello frame may advertise; a mesh is a
-/// handful of hosts, so anything larger is a corrupt or hostile frame.
-pub(crate) const MAX_HELLO_PEERS: usize = 64;
-
-/// Cap on a single frame's declared payload length on a *socket* stream
-/// (16 MiB). Pipe readers buffer a whole child's stdout anyway, but the
-/// server must bound what an untrusted connection can make it allocate.
-pub(crate) const MAX_FRAME_PAYLOAD: usize = 1 << 24;
+const MAX_JOB_SPECS: usize = 1_024;
 
 const CRC_TABLE: [u32; 256] = crc32_table();
 
@@ -111,19 +78,6 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
-/// Full identity string of one job's inputs — the preimage of
-/// [`job_fingerprint`]. Caches that key on the 64-bit fingerprint persist
-/// this string alongside each record and verify it on read, so a
-/// fingerprint collision degrades to a miss instead of a wrong result.
-pub(crate) fn job_identity(
-    profile: &WorkloadProfile,
-    technique: &Technique,
-    sim: &SimConfig,
-    specs: &[FaultSpec],
-) -> String {
-    format!("job-v{VERSION}|{profile:?}|{technique:?}|{sim:?}|{specs:?}")
-}
-
 /// FNV-1a fingerprint of the `Debug` rendering of one job's inputs. The
 /// parent stamps it into the frame (and the worker's argv); the worker
 /// recomputes it from the decoded values, so a lossy codec cannot silently
@@ -134,7 +88,8 @@ pub(crate) fn job_fingerprint(
     sim: &SimConfig,
     specs: &[FaultSpec],
 ) -> u64 {
-    crate::engine::fnv1a(job_identity(profile, technique, sim, specs).as_bytes())
+    let identity = format!("job-v{VERSION}|{profile:?}|{technique:?}|{sim:?}|{specs:?}");
+    crate::engine::fnv1a(identity.as_bytes())
 }
 
 // ---------------------------------------------------------------------------
@@ -142,48 +97,48 @@ pub(crate) fn job_fingerprint(
 // ---------------------------------------------------------------------------
 
 #[derive(Default)]
-pub(crate) struct Writer {
+struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
+    fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
-    pub(crate) fn put_u8(&mut self, v: u8) {
+    fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
-    pub(crate) fn put_u32(&mut self, v: u32) {
+    fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub(crate) fn put_u64(&mut self, v: u64) {
+    fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub(crate) fn put_f64(&mut self, v: f64) {
+    fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
 
-    pub(crate) fn put_str(&mut self, s: &str) {
+    fn put_str(&mut self, s: &str) {
         self.put_u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
     }
 }
 
-pub(crate) struct Reader<'a> {
+struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
+    fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
@@ -194,30 +149,30 @@ impl<'a> Reader<'a> {
         Some(slice)
     }
 
-    pub(crate) fn take_u8(&mut self) -> Option<u8> {
+    fn take_u8(&mut self) -> Option<u8> {
         Some(self.take(1)?[0])
     }
 
-    pub(crate) fn take_u32(&mut self) -> Option<u32> {
+    fn take_u32(&mut self) -> Option<u32> {
         Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
     }
 
-    pub(crate) fn take_u64(&mut self) -> Option<u64> {
+    fn take_u64(&mut self) -> Option<u64> {
         Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
 
-    pub(crate) fn take_f64(&mut self) -> Option<f64> {
+    fn take_f64(&mut self) -> Option<f64> {
         Some(f64::from_bits(self.take_u64()?))
     }
 
-    pub(crate) fn take_str(&mut self) -> Option<&'a str> {
+    fn take_str(&mut self) -> Option<&'a str> {
         let len = self.take_u32()? as usize;
         std::str::from_utf8(self.take(len)?).ok()
     }
 
     /// `Some(())` only when every payload byte was consumed — trailing
     /// garbage means a codec mismatch.
-    pub(crate) fn done(&self) -> Option<()> {
+    fn done(&self) -> Option<()> {
         (self.pos == self.buf.len()).then_some(())
     }
 }
@@ -599,318 +554,6 @@ pub(crate) fn decode_result(payload: &[u8]) -> Option<InstrumentedRun> {
     })
 }
 
-// ---------------------------------------------------------------------------
-// Server-protocol codecs
-// ---------------------------------------------------------------------------
-
-/// Encodes a tenant request payload: the request id, whether the tenant
-/// wants the job's observability events streamed back, and the embedded job
-/// payload (exactly [`encode_job`]'s bytes).
-pub(crate) fn encode_request(req_id: u64, want_obs: bool, job_payload: &[u8]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u64(req_id);
-    w.put_u8(u8::from(want_obs));
-    let mut bytes = w.into_bytes();
-    bytes.extend_from_slice(job_payload);
-    bytes
-}
-
-/// Decodes a request payload into `(req_id, want_obs, job_payload)`. The
-/// job payload is returned raw so the server can separate "the request
-/// frame is malformed" (kill the connection) from "the job inside it does
-/// not decode" (reply a classified transport failure to `req_id`).
-pub(crate) fn decode_request(payload: &[u8]) -> Option<(u64, bool, &[u8])> {
-    let (head, job) = (payload.get(..9)?, &payload[9..]);
-    let req_id = u64::from_le_bytes(head[..8].try_into().ok()?);
-    let want_obs = match head[8] {
-        0 => false,
-        1 => true,
-        _ => return None,
-    };
-    Some((req_id, want_obs, job))
-}
-
-const REPLY_RESULT: u8 = 0;
-const REPLY_FAILURE: u8 = 1;
-
-/// Encodes a reply payload: the request id, whether the rows came from the
-/// shared result cache, then the result or classified failure.
-pub(crate) fn encode_reply(
-    req_id: u64,
-    cached: bool,
-    outcome: &Result<InstrumentedRun, (FailureKind, String)>,
-) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u64(req_id);
-    w.put_u8(u8::from(cached));
-    let mut bytes = w.into_bytes();
-    match outcome {
-        Ok(inst) => {
-            bytes.push(REPLY_RESULT);
-            bytes.extend_from_slice(&encode_result(inst));
-        }
-        Err((kind, message)) => {
-            bytes.push(REPLY_FAILURE);
-            bytes.extend_from_slice(&encode_failure(*kind, message));
-        }
-    }
-    bytes
-}
-
-/// Assembles a reply payload directly from a stored [`encode_result`]
-/// payload — the shared result cache keeps encoded rows, so a cache hit is
-/// served without a decode/re-encode round trip.
-pub(crate) fn encode_reply_from_result_payload(
-    req_id: u64,
-    cached: bool,
-    result_payload: &[u8],
-) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u64(req_id);
-    w.put_u8(u8::from(cached));
-    let mut bytes = w.into_bytes();
-    bytes.push(REPLY_RESULT);
-    bytes.extend_from_slice(result_payload);
-    bytes
-}
-
-/// Decodes a reply payload into `(req_id, cached, outcome)`.
-#[allow(clippy::type_complexity)]
-pub(crate) fn decode_reply(
-    payload: &[u8],
-) -> Option<(u64, bool, Result<InstrumentedRun, (FailureKind, String)>)> {
-    let head = payload.get(..10)?;
-    let req_id = u64::from_le_bytes(head[..8].try_into().ok()?);
-    let cached = match head[8] {
-        0 => false,
-        1 => true,
-        _ => return None,
-    };
-    let outcome = match head[9] {
-        REPLY_RESULT => Ok(decode_result(&payload[10..])?),
-        REPLY_FAILURE => Err(decode_failure(&payload[10..])?),
-        _ => return None,
-    };
-    Some((req_id, cached, outcome))
-}
-
-/// Encodes a busy (admission-rejected) payload with its retry-after hint.
-pub(crate) fn encode_busy(req_id: u64, retry_after: Duration) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u64(req_id);
-    w.put_u64(retry_after.as_millis() as u64);
-    w.into_bytes()
-}
-
-/// Decodes a busy payload into `(req_id, retry_after)`.
-pub(crate) fn decode_busy(payload: &[u8]) -> Option<(u64, Duration)> {
-    let mut r = Reader::new(payload);
-    let req_id = r.take_u64()?;
-    let millis = r.take_u64()?;
-    r.done()?;
-    Some((req_id, Duration::from_millis(millis)))
-}
-
-/// Encodes a cancel payload.
-pub(crate) fn encode_cancel(req_id: u64) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u64(req_id);
-    w.into_bytes()
-}
-
-/// Decodes a cancel payload.
-pub(crate) fn decode_cancel(payload: &[u8]) -> Option<u64> {
-    let mut r = Reader::new(payload);
-    let req_id = r.take_u64()?;
-    r.done()?;
-    Some(req_id)
-}
-
-// ---------------------------------------------------------------------------
-// Mesh codecs (hello / probe)
-// ---------------------------------------------------------------------------
-
-/// Encodes a hello payload: the host's generation tag and its advertised
-/// mesh-peer endpoints.
-pub(crate) fn encode_hello(generation: u64, peers: &[String]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u64(generation);
-    w.put_u32(peers.len() as u32);
-    for peer in peers {
-        w.put_str(peer);
-    }
-    w.into_bytes()
-}
-
-/// Decodes a hello payload into `(generation, peers)`.
-pub(crate) fn decode_hello(payload: &[u8]) -> Option<(u64, Vec<String>)> {
-    let mut r = Reader::new(payload);
-    let generation = r.take_u64()?;
-    let count = r.take_u32()? as usize;
-    if count > MAX_HELLO_PEERS {
-        return None;
-    }
-    let mut peers = Vec::with_capacity(count);
-    for _ in 0..count {
-        peers.push(r.take_str()?.to_string());
-    }
-    r.done()?;
-    Some((generation, peers))
-}
-
-/// Encodes a probe payload.
-pub(crate) fn encode_probe(nonce: u64) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u64(nonce);
-    w.into_bytes()
-}
-
-/// Decodes a probe payload.
-pub(crate) fn decode_probe(payload: &[u8]) -> Option<u64> {
-    let mut r = Reader::new(payload);
-    let nonce = r.take_u64()?;
-    r.done()?;
-    Some(nonce)
-}
-
-/// Encodes a probe-ack payload: the probe's nonce plus the answering host's
-/// generation, so a half-open breaker learns about a restart in one round
-/// trip.
-pub(crate) fn encode_probe_ack(nonce: u64, generation: u64) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u64(nonce);
-    w.put_u64(generation);
-    w.into_bytes()
-}
-
-/// Decodes a probe-ack payload into `(nonce, generation)`.
-pub(crate) fn decode_probe_ack(payload: &[u8]) -> Option<(u64, u64)> {
-    let mut r = Reader::new(payload);
-    let nonce = r.take_u64()?;
-    let generation = r.take_u64()?;
-    r.done()?;
-    Some((nonce, generation))
-}
-
-// ---------------------------------------------------------------------------
-// Strict stream decoder (sockets)
-// ---------------------------------------------------------------------------
-
-/// Why a socket stream stopped being decodable. Unlike the pipe readers
-/// above — which *scan* through a worker's stdout chatter — a socket is
-/// point-to-point and owned entirely by the protocol, so any malformed byte
-/// is a violation that kills that connection (and only that connection).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StreamError {
-    /// The next bytes are not a frame header where one must start.
-    Desync,
-    /// A declared payload length beyond [`MAX_FRAME_PAYLOAD`].
-    Oversize(usize),
-    /// A complete frame whose CRC32 does not verify (torn mid-write).
-    Corrupt,
-}
-
-impl std::fmt::Display for StreamError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Desync => write!(f, "bytes where a frame header must start"),
-            Self::Oversize(len) => write!(
-                f,
-                "declared payload length {len} exceeds the {MAX_FRAME_PAYLOAD}-byte cap"
-            ),
-            Self::Corrupt => write!(f, "frame CRC32 mismatch (torn or corrupted write)"),
-        }
-    }
-}
-
-/// Incremental strict frame decoder for socket streams: feed it reads with
-/// [`StreamDecoder::extend`], pull complete frames with
-/// [`StreamDecoder::next_frame`]. Length caps apply *before* buffering a
-/// frame's payload is required, so a hostile peer cannot force a giant
-/// allocation with a forged header.
-#[derive(Debug, Default)]
-pub(crate) struct StreamDecoder {
-    buf: Vec<u8>,
-}
-
-impl StreamDecoder {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    pub(crate) fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// `true` while an incomplete frame (or any undecoded byte) is
-    /// buffered — the server's slow-loris detector times this state.
-    pub(crate) fn has_partial(&self) -> bool {
-        !self.buf.is_empty()
-    }
-
-    /// The next complete frame, `Ok(None)` when more bytes are needed, or
-    /// the protocol violation that should kill the connection.
-    pub(crate) fn next_frame(&mut self) -> Result<Option<(u8, Vec<u8>)>, StreamError> {
-        let n = self.buf.len();
-        let prefix = n.min(4);
-        if self.buf[..prefix] != MAGIC[..prefix] {
-            return Err(StreamError::Desync);
-        }
-        if n >= 5 && self.buf[4] != VERSION {
-            return Err(StreamError::Desync);
-        }
-        if n < 10 {
-            return Ok(None);
-        }
-        let kind = self.buf[5];
-        let len = u32::from_le_bytes(self.buf[6..10].try_into().expect("4-byte slice")) as usize;
-        if len > MAX_FRAME_PAYLOAD {
-            return Err(StreamError::Oversize(len));
-        }
-        let total = 10 + len + 4;
-        if n < total {
-            return Ok(None);
-        }
-        let crc = u32::from_le_bytes(self.buf[10 + len..total].try_into().expect("4-byte slice"));
-        if crc != crc32(&self.buf[10..10 + len]) {
-            return Err(StreamError::Corrupt);
-        }
-        let payload = self.buf[10..10 + len].to_vec();
-        self.buf.drain(..total);
-        Ok(Some((kind, payload)))
-    }
-
-    /// Skips buffered bytes forward to the next possible frame start. After
-    /// [`StreamDecoder::next_frame`] returns an error, a caller that chooses
-    /// to tolerate the corruption (the server does not — it kills the
-    /// connection) calls this to resume at the next `RSTF` occurrence. The
-    /// byte that *caused* the error is always consumed, so repeated
-    /// `next_frame`/`resync` cycles make progress even through a buffer of
-    /// pure garbage; a trailing partial match of the magic is kept so a
-    /// frame split across reads still decodes.
-    #[cfg_attr(not(test), allow(dead_code))] // exercised by the fuzz tier
-    pub(crate) fn resync(&mut self) {
-        if self.buf.is_empty() {
-            return;
-        }
-        // Search from offset 1: offset 0 is whatever just errored, and a
-        // Corrupt frame's intact header must not be re-matched forever.
-        if let Some(pos) = self.buf.windows(4).skip(1).position(|w| w == MAGIC) {
-            self.buf.drain(..pos + 1);
-            return;
-        }
-        // No full magic left; keep the longest suffix that is a prefix of
-        // the magic (it may complete on the next read).
-        for keep in (1..4.min(self.buf.len() + 1)).rev() {
-            if self.buf[self.buf.len() - keep..] == MAGIC[..keep] && self.buf.len() > keep {
-                self.buf.drain(..self.buf.len() - keep);
-                return;
-            }
-        }
-        self.buf.clear();
-    }
-}
-
 const FAILURE_TAGS: [(u8, FailureKind); 7] = [
     (0, FailureKind::Panic),
     (1, FailureKind::Timeout),
@@ -998,7 +641,6 @@ pub(crate) fn decode_obs(payload: &[u8]) -> Option<(Vec<(String, u64)>, Vec<Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
     use workloads::spec2k;
 
     #[test]
@@ -1081,6 +723,33 @@ mod tests {
                 fp
             );
         }
+    }
+
+    #[test]
+    fn corpus_jobs_resolve_through_the_registry_and_fingerprint_distinctly() {
+        let sim = SimConfig::isca04(8_000);
+        let mut fingerprints: Vec<u64> = ["hazards", "quicksort", "resonance"]
+            .iter()
+            .map(|name| {
+                let profile = workloads::corpus::by_name(name).expect("app is in the corpus");
+                let fp = job_fingerprint(&profile, &Technique::Base, &sim, &[]);
+                let payload = encode_job(&profile, &Technique::Base, &sim, &[], None, fp);
+                let job = decode_job(&payload).expect("corpus job decodes");
+                assert_eq!(job.profile, profile);
+                assert_eq!(
+                    job_fingerprint(&job.profile, &job.technique, &job.sim, &job.specs),
+                    fp
+                );
+                fp
+            })
+            .collect();
+        fingerprints.sort_unstable();
+        fingerprints.dedup();
+        assert_eq!(
+            fingerprints.len(),
+            3,
+            "distinct programs fingerprint distinctly"
+        );
     }
 
     #[test]
@@ -1211,247 +880,6 @@ mod tests {
         };
         assert!(at_limit(MAX_JOB_SPECS as u32 + 1).is_none());
         assert!(at_limit(MAX_JOB_SPECS as u32).is_none(), "truncated specs");
-    }
-
-    #[test]
-    fn request_and_reply_round_trip() {
-        let profile = spec2k::by_name("art").unwrap();
-        let sim = SimConfig::isca04(2_000);
-        let fp = job_fingerprint(&profile, &Technique::Base, &sim, &[]);
-        let job = encode_job(&profile, &Technique::Base, &sim, &[], None, fp);
-        for want_obs in [false, true] {
-            let payload = encode_request(77, want_obs, &job);
-            let (req_id, obs, job_bytes) = decode_request(&payload).expect("request decodes");
-            assert_eq!(req_id, 77);
-            assert_eq!(obs, want_obs);
-            assert_eq!(job_bytes, job.as_slice());
-            assert!(decode_job(job_bytes).is_some());
-        }
-        assert!(decode_request(&[1, 2, 3]).is_none(), "truncated header");
-
-        let failure: Result<InstrumentedRun, _> =
-            Err((FailureKind::Timeout, String::from("too slow")));
-        let payload = encode_reply(9, true, &failure);
-        let (req_id, cached, outcome) = decode_reply(&payload).expect("reply decodes");
-        assert_eq!(req_id, 9);
-        assert!(cached);
-        assert_eq!(
-            outcome,
-            Err((FailureKind::Timeout, String::from("too slow")))
-        );
-        assert!(decode_reply(&payload[..9]).is_none(), "truncated reply");
-    }
-
-    #[test]
-    fn busy_and_cancel_round_trip() {
-        let payload = encode_busy(3, Duration::from_millis(250));
-        assert_eq!(decode_busy(&payload), Some((3, Duration::from_millis(250))));
-        assert!(decode_busy(&payload[..7]).is_none());
-        let payload = encode_cancel(42);
-        assert_eq!(decode_cancel(&payload), Some(42));
-        let mut trailing = payload;
-        trailing.push(0);
-        assert!(decode_cancel(&trailing).is_none());
-    }
-
-    #[test]
-    fn stream_decoder_yields_frames_incrementally() {
-        let mut stream = Vec::new();
-        stream.extend_from_slice(&encode_frame(KIND_HEARTBEAT, &[]));
-        stream.extend_from_slice(&encode_frame(KIND_CANCEL, &encode_cancel(5)));
-        let mut dec = StreamDecoder::new();
-        // Feed one byte at a time: every prefix is either "need more" or a
-        // complete frame, never an error.
-        let mut got = Vec::new();
-        for &b in &stream {
-            dec.extend(&[b]);
-            while let Some(frame) = dec.next_frame().expect("valid stream") {
-                got.push(frame);
-            }
-        }
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].0, KIND_HEARTBEAT);
-        assert_eq!(got[1].0, KIND_CANCEL);
-        assert!(!dec.has_partial());
-    }
-
-    #[test]
-    fn stream_decoder_rejects_desync_oversize_and_corruption() {
-        // Garbage where a header must start.
-        let mut dec = StreamDecoder::new();
-        dec.extend(b"not a frame");
-        assert_eq!(dec.next_frame(), Err(StreamError::Desync));
-
-        // Right magic, wrong version.
-        let mut dec = StreamDecoder::new();
-        dec.extend(b"RSTF\xFF");
-        assert_eq!(dec.next_frame(), Err(StreamError::Desync));
-
-        // A forged length cannot force a giant buffer.
-        let mut dec = StreamDecoder::new();
-        let mut forged = Vec::new();
-        forged.extend_from_slice(&MAGIC);
-        forged.push(VERSION);
-        forged.push(KIND_REQUEST);
-        forged.extend_from_slice(&u32::MAX.to_le_bytes());
-        dec.extend(&forged);
-        assert!(matches!(dec.next_frame(), Err(StreamError::Oversize(_))));
-
-        // A flipped payload bit is caught by the CRC.
-        let mut dec = StreamDecoder::new();
-        let mut frame = encode_frame(KIND_CANCEL, &encode_cancel(1));
-        frame[12] ^= 0x01;
-        dec.extend(&frame);
-        assert_eq!(dec.next_frame(), Err(StreamError::Corrupt));
-    }
-
-    #[test]
-    fn hello_probe_and_probe_ack_round_trip() {
-        let peers = vec![
-            String::from("/tmp/mesh-a.sock"),
-            String::from("host-b:7777"),
-        ];
-        let payload = encode_hello(0xFEED_F00D, &peers);
-        assert_eq!(decode_hello(&payload), Some((0xFEED_F00D, peers)));
-        let empty = encode_hello(1, &[]);
-        assert_eq!(decode_hello(&empty), Some((1, Vec::new())));
-        let mut trailing = encode_hello(1, &[]);
-        trailing.push(0);
-        assert!(
-            decode_hello(&trailing).is_none(),
-            "trailing bytes must fail"
-        );
-
-        // A forged peer count is rejected before any allocation.
-        let mut w = Writer::new();
-        w.put_u64(1);
-        w.put_u32(u32::MAX);
-        assert!(decode_hello(&w.into_bytes()).is_none());
-
-        let payload = encode_probe(99);
-        assert_eq!(decode_probe(&payload), Some(99));
-        assert!(decode_probe(&payload[..7]).is_none());
-
-        let payload = encode_probe_ack(99, 0xABCD);
-        assert_eq!(decode_probe_ack(&payload), Some((99, 0xABCD)));
-        assert!(decode_probe_ack(&payload[..15]).is_none());
-    }
-
-    #[test]
-    fn resync_skips_to_the_next_frame_after_each_error_class() {
-        let sentinel = encode_frame(KIND_CANCEL, &encode_cancel(7));
-
-        // Desync: garbage, then a frame.
-        let mut dec = StreamDecoder::new();
-        dec.extend(b"garbage bytes");
-        dec.extend(&sentinel);
-        assert_eq!(dec.next_frame(), Err(StreamError::Desync));
-        dec.resync();
-        assert_eq!(
-            dec.next_frame()
-                .expect("frame after resync")
-                .map(|(k, _)| k),
-            Some(KIND_CANCEL)
-        );
-        assert!(!dec.has_partial());
-
-        // Corrupt: a torn frame, then a good one. The corrupt frame's own
-        // intact header must not be re-matched forever.
-        let mut dec = StreamDecoder::new();
-        let mut torn = encode_frame(KIND_CANCEL, &encode_cancel(1));
-        torn[12] ^= 0x01;
-        dec.extend(&torn);
-        dec.extend(&sentinel);
-        assert_eq!(dec.next_frame(), Err(StreamError::Corrupt));
-        dec.resync();
-        assert_eq!(
-            dec.next_frame()
-                .expect("frame after resync")
-                .map(|(k, _)| k),
-            Some(KIND_CANCEL)
-        );
-
-        // Oversize: a forged length, then a good frame.
-        let mut dec = StreamDecoder::new();
-        let mut forged = Vec::new();
-        forged.extend_from_slice(&MAGIC);
-        forged.push(VERSION);
-        forged.push(KIND_REQUEST);
-        forged.extend_from_slice(&u32::MAX.to_le_bytes());
-        dec.extend(&forged);
-        dec.extend(&sentinel);
-        assert!(matches!(dec.next_frame(), Err(StreamError::Oversize(_))));
-        dec.resync();
-        assert_eq!(
-            dec.next_frame()
-                .expect("frame after resync")
-                .map(|(k, _)| k),
-            Some(KIND_CANCEL)
-        );
-
-        // A trailing partial magic survives resync so a frame split across
-        // reads still decodes.
-        let mut dec = StreamDecoder::new();
-        dec.extend(b"junk RS");
-        assert_eq!(dec.next_frame(), Err(StreamError::Desync));
-        dec.resync();
-        dec.extend(&sentinel[2..]);
-        // The kept "RS" completes into the sentinel frame.
-        assert_eq!(
-            dec.next_frame()
-                .expect("split frame decodes")
-                .map(|(k, _)| k),
-            Some(KIND_CANCEL)
-        );
-    }
-
-    /// Drives a decoder over `bytes` to quiescence: every error is followed
-    /// by a resync, so the loop always consumes the buffer or stops at a
-    /// genuine partial frame.
-    fn drain_decoder(dec: &mut StreamDecoder, got: &mut Vec<(u8, Vec<u8>)>) {
-        loop {
-            match dec.next_frame() {
-                Ok(Some(frame)) => got.push(frame),
-                Ok(None) => return,
-                Err(_) => dec.resync(),
-            }
-        }
-    }
-
-    proptest! {
-        /// Satellite: fuzz the strict stream decoder. Arbitrary noise, a
-        /// truncation of a valid frame, and more noise must never panic,
-        /// and the decoder must resynchronize on the valid sentinel frames
-        /// that follow.
-        #[test]
-        fn stream_decoder_never_panics_and_resyncs_after_noise(
-            noise in proptest::collection::vec(0u8..=255u8, 0..96),
-            cut in 0usize..64,
-            chunk in 1usize..17,
-        ) {
-            let torn = encode_frame(KIND_CANCEL, &encode_cancel(5));
-            let sentinel = encode_frame(KIND_CANCEL, &encode_cancel(7));
-            let mut stream = noise.clone();
-            stream.extend_from_slice(&torn[..cut.min(torn.len())]);
-            // Two sentinels: even if the truncated header's declared length
-            // swallows bytes of the first, the second stays intact.
-            stream.extend_from_slice(&sentinel);
-            stream.extend_from_slice(&sentinel);
-
-            let mut dec = StreamDecoder::new();
-            let mut got = Vec::new();
-            for part in stream.chunks(chunk) {
-                dec.extend(part);
-                drain_decoder(&mut dec, &mut got);
-            }
-            prop_assert!(
-                got.iter()
-                    .any(|(k, p)| *k == KIND_CANCEL && decode_cancel(p) == Some(7)),
-                "sentinel frame lost after {} noise bytes, cut {}",
-                noise.len(),
-                cut
-            );
-        }
     }
 
     #[test]
