@@ -50,6 +50,40 @@ assert all(v == 0 for a, v in viol.items() if a != "resonance"), \
 print(f"corpus ok: {len(apps)} programs bit-identical across engine paths")
 EOF
 
+echo "==> technique oracle smoke (Tables 3-5 on both engine paths, bit-identical)"
+# The fused kernel (default) and the per-cycle reference loop
+# (RESTUNE_KERNEL=off, full-window CPU scans) run every SPEC2K app at every
+# Table 3-5 design point. Each run gets its own fresh cache directory: a
+# shared one would serve the second run from the recorded baseline and the
+# run store. Every deterministic section must be bit-identical; run_metrics
+# carries wall times and is excluded.
+oracle_dir=$(mktemp -d)
+for harness in table3_tuning table4_sensor table5_damping; do
+    RESTUNE_CACHE_DIR="$(mktemp -d)" \
+        ./target/release/$harness -n 20000 --json > "$oracle_dir/$harness.fused.json"
+    RESTUNE_CACHE_DIR="$(mktemp -d)" RESTUNE_KERNEL=off \
+        ./target/release/$harness -n 20000 --json > "$oracle_dir/$harness.reference.json"
+done
+python3 - "$oracle_dir" <<'EOF'
+import json, sys
+d = sys.argv[1]
+for harness in ("table3_tuning", "table4_sensor", "table5_damping"):
+    fused, reference = (json.load(open(f"{d}/{harness}.{p}.json"))
+                        for p in ("fused", "reference"))
+    sections = sorted(set(fused) - {"run_metrics"})
+    assert sections == sorted(set(reference) - {"run_metrics"}), \
+        f"{harness}: section sets differ between engine paths"
+    assert "outcomes" in sections and fused["outcomes"], \
+        f"{harness}: no outcomes to compare"
+    for section in sections:
+        assert fused[section] == reference[section], \
+            f"{harness}: section {section!r} differs between engine paths"
+    apps = {r["app"] for r in fused["run_metrics"]}
+    assert len(apps) == 26, f"{harness}: expected all 26 SPEC2K apps, got {len(apps)}"
+    print(f"oracle ok: {harness} bit-identical across engine paths "
+          f"({', '.join(sections)}; {len(apps)} apps)")
+EOF
+
 echo "==> fault-injection smoke (seeded plan, degraded run must exit 0)"
 # Seed 42 injects at least one fault across the suite (pinned by the
 # seeded_plan_injects_somewhere_across_a_suite unit test). The degraded run

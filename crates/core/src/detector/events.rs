@@ -42,24 +42,32 @@ pub struct ResonantEvent {
     pub count: u32,
 }
 
-/// One polarity's event-history shift register (one bit per cycle).
+/// One polarity's event-history shift register (one bit per cycle), kept
+/// in a power-of-two ring so shifting is a masked increment.
 #[derive(Debug, Clone)]
 struct BitHistory {
     bits: Vec<bool>,
+    mask: usize,
+    /// Cycles the register remembers; older bits read as clear.
+    len: usize,
     head: usize, // position of the *current* cycle's bit
 }
 
 impl BitHistory {
     fn new(len: usize) -> Self {
+        let len = len.max(8);
+        let slots = len.next_power_of_two();
         Self {
-            bits: vec![false; len.max(8)],
+            bits: vec![false; slots],
+            mask: slots - 1,
+            len,
             head: 0,
         }
     }
 
     /// Shift in an empty bit for the new cycle.
     fn advance(&mut self) {
-        self.head = (self.head + 1) % self.bits.len();
+        self.head = (self.head + 1) & self.mask;
         self.bits[self.head] = false;
     }
 
@@ -69,11 +77,7 @@ impl BitHistory {
 
     /// The bit `offset` cycles ago (0 = current cycle).
     fn get(&self, offset: usize) -> bool {
-        if offset >= self.bits.len() {
-            return false;
-        }
-        let n = self.bits.len();
-        self.bits[(self.head + n - offset) % n]
+        offset < self.len && self.bits[self.head.wrapping_sub(offset) & self.mask]
     }
 
     /// Any bit set in `[from, to]` cycles ago? Returns the smallest such
@@ -94,6 +98,9 @@ impl BitHistory {
 pub struct EventDetector {
     config: TuningConfig,
     history: CurrentHistory,
+    /// `M·T/8` per quarter period, in the order of
+    /// [`CurrentHistory::quarter_diffs`].
+    thresholds: Vec<f64>,
     high_low: BitHistory,
     low_high: BitHistory,
     events_detected: u64,
@@ -111,6 +118,7 @@ impl EventDetector {
         let len = config.history_length();
         Self {
             history: CurrentHistory::new(*q.start(), *q.end()),
+            thresholds: q.map(|q| config.event_threshold(q)).collect(),
             high_low: BitHistory::new(len),
             low_high: BitHistory::new(len),
             config,
@@ -138,12 +146,11 @@ impl EventDetector {
             return None;
         }
 
-        // Identify: any quarter period whose |recent − older| ≥ M·T/8.
+        // Identify: one pass over the quarter periods, any whose
+        // |recent − older| ≥ M·T/8.
         let mut rose = false;
         let mut fell = false;
-        for q in self.config.quarter_periods() {
-            let diff = self.history.quarter_diff(q);
-            let thr = self.config.event_threshold(q);
+        for (diff, &thr) in self.history.quarter_diffs().zip(&self.thresholds) {
             if diff as f64 >= thr {
                 rose = true;
             } else if (diff as f64) <= -thr {
@@ -344,6 +351,56 @@ mod tests {
             }
         }
         assert!(last <= 2, "stale events must age out, got count {last}");
+    }
+
+    /// A seeded splitmix64 stream for the differential tests.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn matches_the_pre_rewrite_detector_cycle_for_cycle() {
+        use crate::detector::oracle;
+        for delay in [0, 5] {
+            let config = TuningConfig::isca04_table1(100).with_response_delay(delay);
+            for seed in 0..6u64 {
+                let mut rng = seed.wrapping_mul(7919) ^ u64::from(delay);
+                let mut det = EventDetector::new(config);
+                let mut want = oracle::EventDetector::new(config);
+                // Even seeds: uniform random currents over the chip's
+                // envelope. Odd seeds: square waves whose period (in-band,
+                // 84–118 cycles) and amplitude change every 2000 cycles,
+                // with ±2 A of noise.
+                let (mut period, mut p2p) = (100u64, 40i64);
+                for c in 0..20_000u64 {
+                    if c % 2000 == 0 {
+                        period = 84 + splitmix(&mut rng) % 35;
+                        p2p = 10 + (splitmix(&mut rng) % 60) as i64;
+                    }
+                    let noise = (splitmix(&mut rng) % 5) as i64 - 2;
+                    let amps = if seed % 2 == 0 {
+                        35 + (splitmix(&mut rng) % 71) as i64
+                    } else if (c % period) < period / 2 {
+                        70 + p2p / 2 + noise
+                    } else {
+                        70 - p2p / 2 + noise
+                    };
+                    assert_eq!(
+                        det.observe(amps),
+                        want.observe(amps),
+                        "delay {delay} seed {seed} cycle {c}"
+                    );
+                }
+                assert_eq!(det.events_detected(), want.events_detected());
+                if seed % 2 == 1 {
+                    assert!(want.events_detected() > 0, "square waves must fire");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,13 +7,11 @@
 //! cycle exactly as a hardware accumulator would (add the entering sample,
 //! subtract the leaving one).
 
-use std::collections::VecDeque;
-
 /// Incrementally maintained sums over the last `q` and previous `q` cycles
 /// of the current history, for one quarter-period length.
 #[derive(Debug, Clone)]
 struct QuarterAdder {
-    q: u32,
+    q: u64,
     recent: i64,
     older: i64,
 }
@@ -22,10 +20,14 @@ struct QuarterAdder {
 /// the resonance band.
 #[derive(Debug, Clone)]
 pub struct CurrentHistory {
-    /// Whole-amp samples, most recent at the back. Length is bounded by
-    /// `2·q_max + 1`.
-    samples: VecDeque<i64>,
+    /// Whole-amp samples in a power-of-two ring of at least `2·q_max + 1`
+    /// slots: the sample pushed `k` cycles ago is at `(cycles − 1 − k) &
+    /// mask`.
+    samples: Vec<i64>,
+    mask: u64,
+    /// One adder per quarter period, `q_min` first.
     adders: Vec<QuarterAdder>,
+    q_min: u32,
     q_max: u32,
     cycles: u64,
 }
@@ -39,42 +41,55 @@ impl CurrentHistory {
     pub fn new(q_min: u32, q_max: u32) -> Self {
         assert!(q_min >= 2, "quarter periods must span at least 2 cycles");
         assert!(q_min <= q_max, "quarter-period range must be non-empty");
+        let len = (2 * q_max as usize + 1).next_power_of_two();
         Self {
-            samples: VecDeque::with_capacity((2 * q_max + 1) as usize),
+            samples: vec![0; len],
+            mask: len as u64 - 1,
             adders: (q_min..=q_max)
                 .map(|q| QuarterAdder {
-                    q,
+                    q: q as u64,
                     recent: 0,
                     older: 0,
                 })
                 .collect(),
+            q_min,
             q_max,
             cycles: 0,
         }
     }
 
     /// Pushes one cycle's whole-amp current sample.
+    #[inline]
     pub fn push(&mut self, amps: i64) {
-        self.samples.push_back(amps);
+        let now = self.cycles;
+        self.samples[(now & self.mask) as usize] = amps;
         self.cycles += 1;
-        // Update each adder incrementally. Sample indices from the back:
-        // back = just pushed. For adder q: recent covers [len-q, len),
-        // older covers [len-2q, len-q).
-        let len = self.samples.len();
+        // Update each adder incrementally: recent covers the last q
+        // samples, older the q before those. The sample q cycles back
+        // moves from recent to older; the one 2q back leaves older.
+        let n = self.cycles;
+        if n > 2 * self.q_max as u64 {
+            // Warm: every adder has a sample leaving each half.
+            for a in self.adders.iter_mut() {
+                let leaving_recent = self.samples[((now - a.q) & self.mask) as usize];
+                a.recent += amps;
+                a.recent -= leaving_recent;
+                a.older += leaving_recent;
+                a.older -= self.samples[((now - 2 * a.q) & self.mask) as usize];
+            }
+            return;
+        }
         for a in self.adders.iter_mut() {
-            let q = a.q as usize;
+            let q = a.q;
             a.recent += amps;
-            if len > q {
-                let leaving_recent = self.samples[len - 1 - q];
+            if n > q {
+                let leaving_recent = self.samples[((now - q) & self.mask) as usize];
                 a.recent -= leaving_recent;
                 a.older += leaving_recent;
             }
-            if len > 2 * q {
-                a.older -= self.samples[len - 1 - 2 * q];
+            if n > 2 * q {
+                a.older -= self.samples[((now - 2 * q) & self.mask) as usize];
             }
-        }
-        if self.samples.len() > (2 * self.q_max) as usize {
-            self.samples.pop_front();
         }
     }
 
@@ -97,17 +112,22 @@ impl CurrentHistory {
     ///
     /// Panics if `q` is outside the configured range.
     pub fn quarter_diff(&self, q: u32) -> i64 {
-        let a = self
-            .adders
-            .iter()
-            .find(|a| a.q == q)
+        let a = q
+            .checked_sub(self.q_min)
+            .and_then(|k| self.adders.get(k as usize))
             .expect("quarter period must be within the configured band");
         a.recent - a.older
     }
 
+    /// Every configured quarter period's [`Self::quarter_diff`], shortest
+    /// quarter period first.
+    pub fn quarter_diffs(&self) -> impl Iterator<Item = i64> + '_ {
+        self.adders.iter().map(|a| a.recent - a.older)
+    }
+
     /// All configured quarter periods.
     pub fn quarter_periods(&self) -> impl Iterator<Item = u32> + '_ {
-        self.adders.iter().map(|a| a.q)
+        self.q_min..=self.q_max
     }
 }
 

@@ -4,6 +4,8 @@
 
 mod events;
 mod history;
+#[cfg(test)]
+mod oracle;
 mod wavelet;
 
 pub use events::{EventDetector, Polarity, ResonantEvent};

@@ -168,19 +168,22 @@ thread_local! {
 
 /// A fresh core for `profile` whose caches hold exactly what
 /// [`warm_caches`] leaves: the walk only touches a config-derived layout
-/// and then resets the statistics, so its image is cloned from the
-/// thread's memo when the config matches, and walked (and memoized)
-/// otherwise.
+/// and then resets the statistics, so the core is built around one clone
+/// of the thread's memoized image when the config matches, and walked (and
+/// memoized) otherwise.
 fn warmed_cpu(profile: &WorkloadProfile, sim: &SimConfig) -> Cpu<SharedStream> {
-    let mut cpu = Cpu::new(sim.cpu, shared_stream(profile, sim.instructions));
+    let stream = shared_stream(profile, sim.instructions);
     WARMED.with_borrow_mut(|memo| match memo {
-        Some((config, image)) if *config == sim.cpu => cpu.caches_mut().clone_from(image),
+        Some((config, image)) if *config == sim.cpu => {
+            Cpu::with_caches(sim.cpu, stream, image.clone())
+        }
         _ => {
+            let mut cpu = Cpu::new(sim.cpu, stream);
             warm_caches(&mut cpu);
             *memo = Some((sim.cpu, cpu.caches().clone()));
+            cpu
         }
-    });
-    cpu
+    })
 }
 
 /// A cycle simulated but not yet flushed through the supply: everything a
@@ -234,6 +237,8 @@ pub(crate) fn run_fused<F: FnMut(&CycleRecord)>(
     let mut last_current = idle;
     let mut last_noise = Volts::new(0.0);
     let mut last_events = CycleEvents::default();
+    // Only pipeline damping reads the previous cycle's events back.
+    let reads_events = matches!(controller, Controller::Damping(_));
     let mut cycles = 0u64;
     let mut damping_bound = 0u64;
 
@@ -313,7 +318,9 @@ pub(crate) fn run_fused<F: FnMut(&CycleRecord)>(
                 });
             }
             last_current = Amps::new(amps);
-            last_events = ev;
+            if reads_events {
+                last_events = ev;
+            }
             cycles += 1;
         }
 

@@ -150,7 +150,7 @@ impl ResonanceTuner {
             self.react(ev);
         }
 
-        self.last_event = self.detector.observe(sensed_amps.round() as i64);
+        self.last_event = self.detector.observe(whole_amps(sensed_amps));
         if let Some(ev) = self.last_event {
             if self.config.response_delay == 0 {
                 self.react(ev);
@@ -178,9 +178,69 @@ impl ResonanceTuner {
     }
 }
 
+/// `x.round() as i64` — half away from zero, saturating, NaN to 0 —
+/// computed without the libm call `f64::round` becomes on baseline x86-64.
+/// Below 2^52 in magnitude the truncation and the fraction it drops are
+/// both exact; every other f64 (and NaN) is already whole, where the
+/// saturating cast alone agrees.
+fn whole_amps(x: f64) -> i64 {
+    const WHOLE_FROM: f64 = 4_503_599_627_370_496.0; // 2^52
+    if x.abs() < WHOLE_FROM {
+        let whole = x as i64;
+        let frac = x - whole as f64;
+        whole + i64::from(frac >= 0.5) - i64::from(frac <= -0.5)
+    } else {
+        x as i64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn whole_amps_matches_round() {
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            2.5,
+            -2.5,
+            0.49999999999999994,
+            -0.49999999999999994,
+            4_503_599_627_370_495.5,
+            -4_503_599_627_370_495.5,
+            4_503_599_627_370_496.0,
+            9.3e18,
+            -9.3e18,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::EPSILON,
+            f64::MIN_POSITIVE,
+        ];
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let randoms = (0..200_000).map(|k| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            match k % 3 {
+                // Currents around the chip's envelope, half-amps included.
+                0 => (state % 40_000) as f64 / 200.0 - 50.0,
+                1 => (state % 4000) as f64 * 0.5 - 1000.0,
+                // Arbitrary bit patterns.
+                _ => f64::from_bits(state),
+            }
+        });
+        for x in edges.into_iter().chain(randoms) {
+            assert_eq!(whole_amps(x), x.round() as i64, "{x:e}");
+        }
+    }
 
     fn tuner() -> ResonanceTuner {
         ResonanceTuner::new(TuningConfig::isca04_table1(100))

@@ -48,6 +48,16 @@ impl CacheHierarchy {
         }
     }
 
+    /// `true` when this hierarchy has the geometry and latencies `config`
+    /// describes, whatever its contents.
+    pub fn built_for(&self, config: &CpuConfig) -> bool {
+        *self.l1i.config() == config.l1i
+            && *self.l1d.config() == config.l1d
+            && *self.l2.config() == config.l2
+            && self.memory_latency == config.memory_latency
+    }
+
+    #[inline]
     fn access_through(
         l1: &mut SetAssocCache,
         l2: &mut SetAssocCache,
@@ -79,6 +89,7 @@ impl CacheHierarchy {
     }
 
     /// A data access (load or store address) at `addr`.
+    #[inline]
     pub fn access_data(&mut self, addr: u64) -> AccessResult {
         Self::access_through(
             &mut self.l1d,
@@ -91,6 +102,7 @@ impl CacheHierarchy {
     }
 
     /// An instruction fetch at `pc`.
+    #[inline]
     pub fn access_inst(&mut self, pc: u64) -> AccessResult {
         Self::access_through(
             &mut self.l1i,

@@ -2,6 +2,11 @@
 
 use crate::config::CacheConfig;
 
+/// The tag of an empty way. A tag is an address shifted right by the line
+/// and set bits, and [`SetAssocCache::new`] requires at least one such bit,
+/// so no address produces it.
+const INVALID: u64 = u64::MAX;
+
 /// A set-associative cache array. Stores only tags (the simulator never needs
 /// data values), with per-set true-LRU replacement.
 #[derive(Debug, Clone)]
@@ -9,8 +14,12 @@ pub struct SetAssocCache {
     config: CacheConfig,
     sets_mask: u64,
     line_shift: u32,
-    /// `ways[set * assoc + way]`: tag, or `None` when invalid.
-    tags: Vec<Option<u64>>,
+    /// Set-index bits (`sets_mask.count_ones()`), shifted off a line number
+    /// to form its tag.
+    set_bits: u32,
+    /// `ways[set * assoc + way]`: tag, or [`INVALID`] when the way is
+    /// empty.
+    tags: Vec<u64>,
     /// LRU stamps parallel to `tags` (larger = more recently used).
     stamps: Vec<u64>,
     tick: u64,
@@ -27,11 +36,17 @@ impl SetAssocCache {
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
         let n = (sets * config.ways as u64) as usize;
+        let line_shift = config.line_bytes.trailing_zeros();
+        assert!(
+            line_shift + sets.trailing_zeros() > 0,
+            "a cache needs lines of at least two bytes or at least two sets"
+        );
         Self {
             sets_mask: sets - 1,
-            line_shift: config.line_bytes.trailing_zeros(),
+            line_shift,
+            set_bits: sets.trailing_zeros(),
             config,
-            tags: vec![None; n],
+            tags: vec![INVALID; n],
             stamps: vec![0; n],
             tick: 0,
             accesses: 0,
@@ -48,36 +63,34 @@ impl SetAssocCache {
     fn index_of(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.line_shift;
         let set = (line & self.sets_mask) as usize;
-        let tag = line >> (self.sets_mask.count_ones());
+        let tag = line >> self.set_bits;
         (set, tag)
     }
 
     /// Accesses `addr`: returns `true` on hit. On a miss the line is filled,
     /// evicting the LRU way. Statistics are updated.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.tick += 1;
         self.accesses += 1;
         let (set, tag) = self.index_of(addr);
         let assoc = self.config.ways as usize;
-        let base = set * assoc;
+        let ways = set * assoc..(set + 1) * assoc;
+        let (tags, stamps) = (&mut self.tags[ways.clone()], &mut self.stamps[ways]);
         // Hit?
-        for way in 0..assoc {
-            if self.tags[base + way] == Some(tag) {
-                self.stamps[base + way] = self.tick;
-                return true;
-            }
+        if let Some(way) = tags.iter().position(|&t| t == tag) {
+            stamps[way] = self.tick;
+            return true;
         }
         self.misses += 1;
         // Fill: prefer an invalid way, else evict LRU.
-        let victim = (0..assoc)
-            .find(|&w| self.tags[base + w].is_none())
-            .unwrap_or_else(|| {
-                (0..assoc)
-                    .min_by_key(|&w| self.stamps[base + w])
-                    .expect("associativity is nonzero")
-            });
-        self.tags[base + victim] = Some(tag);
-        self.stamps[base + victim] = self.tick;
+        let victim = tags.iter().position(|&t| t == INVALID).unwrap_or_else(|| {
+            (0..assoc)
+                .min_by_key(|&w| stamps[w])
+                .expect("associativity is nonzero")
+        });
+        tags[victim] = tag;
+        stamps[victim] = self.tick;
         false
     }
 
@@ -86,7 +99,7 @@ impl SetAssocCache {
         let (set, tag) = self.index_of(addr);
         let assoc = self.config.ways as usize;
         let base = set * assoc;
-        (0..assoc).any(|w| self.tags[base + w] == Some(tag))
+        (0..assoc).any(|w| self.tags[base + w] == tag)
     }
 
     /// Total accesses so far.
@@ -117,7 +130,7 @@ impl SetAssocCache {
 
     /// Invalidates everything and clears statistics.
     pub fn clear(&mut self) {
-        self.tags.iter_mut().for_each(|t| *t = None);
+        self.tags.fill(INVALID);
         self.stamps.iter_mut().for_each(|s| *s = 0);
         self.tick = 0;
         self.accesses = 0;

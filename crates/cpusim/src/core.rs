@@ -6,6 +6,13 @@
 //! register-update-unit organization of the paper's base simulator.
 //! External controllers throttle the machine per cycle through
 //! [`PipelineControls`].
+//!
+//! The window is a power-of-two ring of slots: the entry with sequence
+//! number `seq` lives in slot `seq & mask`, so no lookup subtracts the
+//! window's front. The event-driven scheduler keeps its state as slot
+//! bitmasks — the ready set, and one completion set per cycle of a ring
+//! indexed by `done_at` — walked oldest-first from the window head, so
+//! neither issue nor writeback sorts anything.
 
 use std::collections::VecDeque;
 
@@ -29,19 +36,39 @@ enum InstState {
 }
 
 /// Sentinel terminating a wakeup subscriber chain.
-const NO_SUB: u64 = u64::MAX;
+const NO_SUB: u32 = u32::MAX;
 
+/// Upper bound on the completion ring's length; latencies that do not fit
+/// wait on the overflow list instead.
+const MAX_DONE_RING: u64 = 1024;
+
+/// One window entry. Its sequence number is implied by its slot and the
+/// window head, which keeps an entry at 64 bytes.
 #[derive(Debug, Clone, Copy)]
 struct RobEntry {
-    seq: u64,
     inst: SynthInst,
     state: InstState,
-    /// Head of this entry's wakeup subscriber chain: the `seq` of the
-    /// youngest waiting consumer blocked on this producer ([`NO_SUB`] when
-    /// none). Event scheduling only; unused under [`ScanMode::FullScan`].
-    subs: u64,
-    /// The next subscriber in the chain this entry is linked into.
-    next_sub: u64,
+    /// Head of the chain of wakeup nodes blocked on this entry, each node
+    /// `consumer_slot << 1 | source` ([`NO_SUB`] when none). Event
+    /// scheduling only; unused under [`ScanMode::FullScan`].
+    subs: u32,
+    /// Per source operand, the next node of the chain that source is
+    /// linked into.
+    next_sub: [u32; 2],
+    /// Source operands still blocked on an in-window producer.
+    pending: u8,
+}
+
+impl RobEntry {
+    fn new(inst: SynthInst) -> Self {
+        Self {
+            inst,
+            state: InstState::Waiting,
+            subs: NO_SUB,
+            next_sub: [NO_SUB; 2],
+            pending: 0,
+        }
+    }
 }
 
 /// How the core finds work each cycle.
@@ -52,10 +79,11 @@ struct RobEntry {
 /// baseline for the criterion benchmarks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanMode {
-    /// Event-driven scheduling: waiting instructions subscribe to one
-    /// unready producer and are woken at its completion, issue walks a
-    /// ready list, and writeback drains an executing list — no whole-window
-    /// scans on the hot path.
+    /// Event-driven scheduling: a waiting instruction subscribes to each
+    /// unready producer and goes ready when the last one completes, issue
+    /// walks a ready bitmask, and writeback takes the cycle's completion
+    /// set from a ring indexed by completion cycle — no whole-window scans
+    /// on the hot path.
     #[default]
     Event,
     /// The classic RUU scans: issue and writeback walk the entire window
@@ -63,14 +91,67 @@ pub enum ScanMode {
     FullScan,
 }
 
-/// Per-cycle occupancy bookkeeping for the functional-unit pools.
-#[derive(Debug, Clone, Copy, Default)]
-struct FuUsage {
-    int_alu: u32,
-    int_mul_div: u32,
-    fp_alu: u32,
-    fp_mul_div: u32,
-    mem_ports: u32,
+/// Window slots per word of a slot bitmask.
+const SLOT_WORD: usize = 128;
+
+fn set_bit(words: &mut [u128], slot: usize) {
+    words[slot / SLOT_WORD] |= 1 << (slot % SLOT_WORD);
+}
+
+/// Calls `f` with every set bit of `words` in ring order starting at bit
+/// `start` — oldest first when `start` is the window head's slot — until
+/// `f` returns `false`.
+fn walk_ring(words: &[u128], start: usize, mut f: impl FnMut(usize) -> bool) {
+    if let [word] = words {
+        // One word holds the whole ring: rotate the head's bit to bit 0.
+        let mut word = word.rotate_right(start as u32);
+        while word != 0 {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            if !f((start + b) % SLOT_WORD) {
+                return;
+            }
+        }
+        return;
+    }
+    let n = words.len();
+    let (first, bit) = (start / SLOT_WORD, start % SLOT_WORD);
+    for i in 0..=n {
+        let w = if first + i >= n {
+            first + i - n
+        } else {
+            first + i
+        };
+        let mut word = words[w];
+        if i == 0 {
+            word &= u128::MAX << bit;
+        } else if i == n {
+            word &= !(u128::MAX << bit);
+        }
+        while word != 0 {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            if !f(w * SLOT_WORD + b) {
+                return;
+            }
+        }
+    }
+}
+
+/// Wakes every consumer subscribed to the just-completed entry in slot
+/// `producer`: a consumer whose last blocked source this was goes ready.
+/// The chain links are left as they are: a completed producer is never
+/// linked to or woken again, and linking overwrites a consumer's link.
+fn wake(slots: &mut [RobEntry], ready: &mut [u128], producer: usize) {
+    let mut node = slots[producer].subs;
+    while node != NO_SUB {
+        let (consumer, source) = ((node >> 1) as usize, (node & 1) as usize);
+        let e = &mut slots[consumer];
+        node = e.next_sub[source];
+        debug_assert_eq!(e.state, InstState::Waiting);
+        e.pending -= 1;
+        ready[consumer / SLOT_WORD] |= u128::from(e.pending == 0) << (consumer % SLOT_WORD);
+    }
 }
 
 /// The out-of-order processor core.
@@ -95,10 +176,18 @@ pub struct Cpu<S> {
     config: CpuConfig,
     stream: S,
     caches: CacheHierarchy,
-    /// The unified window, ordered oldest (front) to youngest (back).
-    rob: VecDeque<RobEntry>,
-    /// Fetched but not yet dispatched instructions, in program order.
-    fetch_buffer: VecDeque<SynthInst>,
+    /// The unified window: a power-of-two ring holding the entry with
+    /// sequence number `seq` in slot `seq & (slots.len() − 1)`.
+    slots: Vec<RobEntry>,
+    /// Sequence number of the oldest window entry (`next_seq` when empty).
+    head: u64,
+    /// Fetched but not yet dispatched instructions, in program order: a
+    /// power-of-two ring read at `fetch_head` and written at `fetch_tail`
+    /// (both count instructions), so dispatch copies straight from it into
+    /// the window.
+    fetch_ring: Vec<SynthInst>,
+    fetch_head: u64,
+    fetch_tail: u64,
     /// Squashed instructions awaiting re-fetch after a redirect, in order.
     replay: VecDeque<SynthInst>,
     /// Cycles remaining until fetch resumes after a mispredict redirect.
@@ -120,15 +209,23 @@ pub struct Cpu<S> {
     stats: RunStats,
     /// Scheduling strategy (see [`ScanMode`]).
     scan: ScanMode,
-    /// Event scheduling: `seq`s of waiting entries whose sources are all
-    /// ready. Sorted ascending at issue time (oldest first).
-    ready: Vec<u64>,
-    /// Event scheduling: `(done_at, seq)` of every in-flight instruction.
-    executing: Vec<(u64, u64)>,
-    /// Reusable issue-selection buffer (`seq`s picked this cycle).
-    issue_scratch: Vec<u64>,
-    /// Reusable writeback buffer (`seq`s completing this cycle).
-    completing_scratch: Vec<u64>,
+    /// Execution latency of every class but loads, by [`OpClass::index`].
+    fixed_latency: [u64; 9],
+    /// Event scheduling: slot bitmask of the waiting entries whose sources
+    /// are all complete.
+    ready: Vec<u128>,
+    /// Event scheduling: `done_mask + 1` slot bitmasks; the one at
+    /// `done_at & done_mask` holds the entries completing at `done_at`.
+    done_ring: Vec<u128>,
+    done_mask: u64,
+    /// Event scheduling: `(done_at, slot)` of executing entries whose
+    /// latency does not fit the ring (zero, or stretched past it by the
+    /// [`MissTracker`]).
+    done_overflow: Vec<(u64, u32)>,
+    /// Reusable slot bitmask of the entries completing this cycle.
+    completing: Vec<u128>,
+    /// Reusable issue-selection buffer (slots picked this cycle).
+    issue_scratch: Vec<usize>,
 }
 
 impl<S: InstructionStream> Cpu<S> {
@@ -149,17 +246,81 @@ impl<S: InstructionStream> Cpu<S> {
     /// Panics if `config` is inconsistent (see [`CpuConfig::validate`]).
     pub fn with_scan_mode(config: CpuConfig, stream: S, scan: ScanMode) -> Self {
         config.validate();
+        Self::build(config, stream, scan, CacheHierarchy::new(&config))
+    }
+
+    /// Creates an event-scheduled core whose caches start as `caches` —
+    /// typically a clone of a warmed image — instead of empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` is inconsistent or `caches` was built for a
+    /// different cache geometry.
+    pub fn with_caches(config: CpuConfig, stream: S, caches: CacheHierarchy) -> Self {
+        config.validate();
+        assert!(
+            caches.built_for(&config),
+            "cache hierarchy geometry must match the core's configuration"
+        );
+        Self::build(config, stream, ScanMode::Event, caches)
+    }
+
+    fn build(config: CpuConfig, stream: S, scan: ScanMode, caches: CacheHierarchy) -> Self {
         let miss_tracker = config.memory_system.map(MissTracker::new);
         let predictor = match config.branch_model {
             BranchModel::Profile => None,
             BranchModel::Predictor { kind, entries } => Some(BranchPredictor::new(kind, entries)),
         };
+        // At least one whole bitmask word, so a window of up to 128 entries
+        // walks its slot sets in a single rotated word.
+        let capacity = (config.rob_entries as usize)
+            .next_power_of_two()
+            .max(SLOT_WORD);
+        let words = capacity / SLOT_WORD;
+        // The ring must outlast every fixed latency: the longest functional
+        // unit and a load that misses all the way to memory.
+        let lat = &config.latency;
+        let longest = [
+            lat.int_alu,
+            lat.int_mul,
+            lat.int_div,
+            lat.fp_alu,
+            lat.fp_mul,
+            lat.fp_div,
+        ]
+        .into_iter()
+        .map(u64::from)
+        .chain([u64::from(config.l1d.latency)
+            + u64::from(config.l2.latency)
+            + u64::from(config.memory_latency)])
+        .max()
+        .unwrap_or(0);
+        let ring = (longest + 1).next_power_of_two().min(MAX_DONE_RING);
+        let fixed_latency = OpClass::ALL.map(|op| match op {
+            OpClass::IntAlu | OpClass::Branch => lat.int_alu as u64,
+            OpClass::IntMul => lat.int_mul as u64,
+            OpClass::IntDiv => lat.int_div as u64,
+            OpClass::FpAlu => lat.fp_alu as u64,
+            OpClass::FpMul => lat.fp_mul as u64,
+            OpClass::FpDiv => lat.fp_div as u64,
+            // Store issue is address generation; the write happens at
+            // commit. One cycle to compute the address.
+            OpClass::Store => 1,
+            // Loads take their cache access's latency.
+            OpClass::Load => 0,
+        });
         Self {
             miss_tracker,
             predictor,
-            caches: CacheHierarchy::new(&config),
-            rob: VecDeque::with_capacity(config.rob_entries as usize),
-            fetch_buffer: VecDeque::with_capacity(config.fetch_buffer as usize),
+            caches,
+            slots: vec![RobEntry::new(SynthInst::int_alu()); capacity],
+            head: 0,
+            fetch_ring: vec![
+                SynthInst::int_alu();
+                (config.fetch_buffer as usize).next_power_of_two()
+            ],
+            fetch_head: 0,
+            fetch_tail: 0,
             replay: VecDeque::new(),
             redirect_stall: 0,
             ifetch_stall: 0,
@@ -170,10 +331,13 @@ impl<S: InstructionStream> Cpu<S> {
             cycle: 0,
             stats: RunStats::default(),
             scan,
-            ready: Vec::with_capacity(config.rob_entries as usize),
-            executing: Vec::with_capacity(config.rob_entries as usize),
+            fixed_latency,
+            ready: vec![0; words],
+            done_ring: vec![0; ring as usize * words],
+            done_mask: ring - 1,
+            done_overflow: Vec::new(),
+            completing: vec![0; words],
             issue_scratch: Vec::with_capacity(config.issue_width as usize),
-            completing_scratch: Vec::with_capacity(config.rob_entries as usize),
             config,
             stream,
         }
@@ -221,16 +385,32 @@ impl<S: InstructionStream> Cpu<S> {
             .map(|bp| (bp.predictions(), bp.misprediction_rate()))
     }
 
-    /// Looks up a window entry by sequence number. The window is contiguous
-    /// in `seq`, so this is O(1).
+    /// Entries in the window.
+    fn window_len(&self) -> u64 {
+        self.next_seq - self.head
+    }
+
+    /// The ring slot of sequence number `seq`.
+    fn slot(&self, seq: u64) -> usize {
+        seq as usize & (self.slots.len() - 1)
+    }
+
+    /// Instructions in the fetch buffer.
+    fn fetch_len(&self) -> usize {
+        (self.fetch_tail - self.fetch_head) as usize
+    }
+
+    /// The fetch ring slot of the instruction fetched `n`-th.
+    fn fetch_slot(&self, n: u64) -> usize {
+        n as usize & (self.fetch_ring.len() - 1)
+    }
+
+    /// Looks up a window entry by sequence number.
     fn entry(&self, seq: u64) -> Option<&RobEntry> {
-        let front = self.rob.front()?.seq;
-        if seq < front {
+        if seq < self.head || seq >= self.next_seq {
             return None;
         }
-        let e = self.rob.get((seq - front) as usize)?;
-        debug_assert_eq!(e.seq, seq, "window must be contiguous in seq");
-        Some(e)
+        Some(&self.slots[self.slot(seq)])
     }
 
     /// `true` when the producer `dist` instructions before `seq` has
@@ -250,14 +430,7 @@ impl<S: InstructionStream> Cpu<S> {
     }
 
     fn execution_latency(&mut self, inst: &SynthInst, events: &mut CycleEvents) -> u64 {
-        let lat = &self.config.latency;
         match inst.op {
-            OpClass::IntAlu | OpClass::Branch => lat.int_alu as u64,
-            OpClass::IntMul => lat.int_mul as u64,
-            OpClass::IntDiv => lat.int_div as u64,
-            OpClass::FpAlu => lat.fp_alu as u64,
-            OpClass::FpMul => lat.fp_mul as u64,
-            OpClass::FpDiv => lat.fp_div as u64,
             OpClass::Load => {
                 let r = self.caches.access_data(inst.addr);
                 events.l1d_accesses += 1;
@@ -285,9 +458,7 @@ impl<S: InstructionStream> Cpu<S> {
                 }
                 r.latency as u64
             }
-            // Store issue is address generation; the write happens at
-            // commit. One cycle to compute the address.
-            OpClass::Store => 1,
+            op => self.fixed_latency[op.index()],
         }
     }
 
@@ -295,25 +466,20 @@ impl<S: InstructionStream> Cpu<S> {
     /// squashed instructions (plus the whole fetch buffer) for replay in
     /// program order.
     fn squash_younger_than(&mut self, seq: u64) {
-        // Entries in the ROB younger than the branch, oldest first.
-        let mut replayed: Vec<SynthInst> = Vec::new();
-        while let Some(back) = self.rob.back() {
-            if back.seq > seq {
-                let e = self.rob.pop_back().expect("back exists");
-                if e.inst.op.is_mem() {
-                    self.lsq_occupancy -= 1;
-                }
-                replayed.push(e.inst);
-            } else {
-                break;
-            }
-        }
-        replayed.reverse();
-        // Fetch buffer contents are younger than anything in the ROB.
-        replayed.extend(self.fetch_buffer.drain(..));
         // The next sequence numbers will be re-assigned at re-dispatch;
-        // pull the replayed instructions before new stream instructions.
-        for inst in replayed.into_iter().rev() {
+        // pull the replayed instructions before new stream instructions,
+        // in program order: pushing to the front youngest first, the fetch
+        // buffer (younger than anything in the ROB), then the ROB entries
+        // younger than the branch.
+        for f in (self.fetch_head..self.fetch_tail).rev() {
+            self.replay.push_front(self.fetch_ring[self.fetch_slot(f)]);
+        }
+        self.fetch_head = self.fetch_tail;
+        for s in (seq + 1..self.next_seq).rev() {
+            let inst = self.slots[self.slot(s)].inst;
+            if inst.op.is_mem() {
+                self.lsq_occupancy -= 1;
+            }
             self.replay.push_front(inst);
         }
         // Reuse the squashed sequence numbers for the replayed instructions:
@@ -323,84 +489,89 @@ impl<S: InstructionStream> Cpu<S> {
         self.next_seq = seq + 1;
         self.redirect_stall = self.config.mispredict_penalty;
         self.ifetch_stall = 0;
-        // Squashed sequence numbers are about to be reused, so every
-        // subscriber chain, ready entry, and executing entry keyed by seq
-        // is suspect: rebuild the event-scheduling state from the surviving
-        // window. Squashes are per-mispredict, so this O(window) pass is
-        // off the hot path.
+        // Squashed slots are about to be reused, so every subscriber chain,
+        // ready bit, and completion bit is suspect: rebuild the
+        // event-scheduling state from the surviving window. Squashes are
+        // per-mispredict, so this O(window) pass is off the hot path.
         if self.scan == ScanMode::Event {
             self.rebuild_event_state();
         }
     }
 
-    /// Re-derives the ready list, executing list, and subscriber chains
+    /// Re-derives the ready set, completion ring, and subscriber chains
     /// from the window's instruction states alone.
     fn rebuild_event_state(&mut self) {
-        self.ready.clear();
-        self.executing.clear();
-        for e in self.rob.iter_mut() {
+        self.ready.fill(0);
+        self.done_ring.fill(0);
+        self.done_overflow.clear();
+        for seq in self.head..self.next_seq {
+            let slot = self.slot(seq);
+            let e = &mut self.slots[slot];
             e.subs = NO_SUB;
-            e.next_sub = NO_SUB;
+            e.next_sub = [NO_SUB; 2];
+            e.pending = 0;
         }
-        for idx in 0..self.rob.len() {
-            let (seq, state) = (self.rob[idx].seq, self.rob[idx].state);
-            match state {
-                InstState::Waiting => self.link_or_ready(seq),
-                InstState::Executing { done_at } => self.executing.push((done_at, seq)),
+        for seq in self.head..self.next_seq {
+            let slot = self.slot(seq);
+            match self.slots[slot].state {
+                InstState::Waiting => {
+                    let inst = self.slots[slot].inst;
+                    self.link_sources(seq, [inst.src1_dist, inst.src2_dist]);
+                }
+                InstState::Executing { done_at } => self.schedule_done(done_at, slot),
                 InstState::Completed => {}
             }
         }
     }
 
-    /// The producer `dist` before `seq` when it is still in the window and
-    /// not yet completed — i.e. the dependence actually blocks issue.
-    fn unready_producer(&self, seq: u64, dist: u32) -> Option<u64> {
-        if dist == 0 {
-            return None;
-        }
-        let producer = seq.checked_sub(dist as u64)?;
-        match self.entry(producer) {
-            Some(e) if !matches!(e.state, InstState::Completed) => Some(producer),
-            _ => None,
+    /// Files the executing entry in `slot` to complete at `done_at`: in the
+    /// completion ring when that cycle is within its reach, otherwise on
+    /// the overflow list. Called after this cycle's writeback, so ring
+    /// reach is `1..=done_mask` cycles ahead.
+    #[inline]
+    fn schedule_done(&mut self, done_at: u64, slot: usize) {
+        let wait = done_at.wrapping_sub(self.cycle);
+        if (1..=self.done_mask).contains(&wait) {
+            let words = self.ready.len();
+            let base = (done_at & self.done_mask) as usize * words;
+            set_bit(&mut self.done_ring[base..base + words], slot);
+        } else {
+            self.done_overflow.push((done_at, slot as u32));
         }
     }
 
-    /// Files the waiting entry `seq` for issue: onto the ready list when
-    /// both sources are ready, otherwise into the subscriber chain of one
-    /// blocking producer (re-checked and re-filed at that producer's
-    /// completion).
-    fn link_or_ready(&mut self, seq: u64) {
-        let front = self.rob.front().expect("entry exists").seq;
-        let idx = (seq - front) as usize;
-        let inst = self.rob[idx].inst;
-        let blocker = self
-            .unready_producer(seq, inst.src1_dist)
-            .or_else(|| self.unready_producer(seq, inst.src2_dist));
-        match blocker {
-            Some(producer) => {
-                let p_idx = (producer - front) as usize;
-                self.rob[idx].next_sub = self.rob[p_idx].subs;
-                self.rob[p_idx].subs = seq;
+    /// Files the waiting entry `seq` for issue: into the ready set when
+    /// both sources are ready, otherwise into the subscriber chain of each
+    /// blocking producer, counting them; the last producer to complete
+    /// sets its ready bit.
+    ///
+    /// The distances come from the caller, which already holds the
+    /// instruction, rather than being read back from the just-written
+    /// entry.
+    #[inline]
+    fn link_sources(&mut self, seq: u64, dists: [u32; 2]) {
+        let slot = self.slot(seq);
+        let len = self.window_len();
+        let mut pending = 0;
+        for (source, dist) in dists.into_iter().enumerate() {
+            // A source blocks while its producer is in the window and not
+            // complete. No dependence (distance 0) never blocks, and a
+            // producer before the window head has committed: its distance
+            // from the head wraps past the window length.
+            let producer = seq.wrapping_sub(dist as u64);
+            let p = self.slot(producer);
+            if dist != 0
+                && producer.wrapping_sub(self.head) < len
+                && self.slots[p].state != InstState::Completed
+            {
+                self.slots[slot].next_sub[source] = self.slots[p].subs;
+                self.slots[p].subs = ((slot as u32) << 1) | source as u32;
+                pending += 1;
             }
-            None => self.ready.push(seq),
         }
-    }
-
-    /// Wakes every consumer subscribed to the just-completed `producer`:
-    /// each is re-checked and either goes ready or re-subscribes to its
-    /// other (still unready) producer.
-    fn wake_subscribers(&mut self, producer: u64) {
-        let Some(front) = self.rob.front().map(|f| f.seq) else {
-            return;
-        };
-        let p_idx = (producer - front) as usize;
-        let mut next = std::mem::replace(&mut self.rob[p_idx].subs, NO_SUB);
-        while next != NO_SUB {
-            let c_idx = (next - front) as usize;
-            let seq = next;
-            next = std::mem::replace(&mut self.rob[c_idx].next_sub, NO_SUB);
-            debug_assert_eq!(self.rob[c_idx].state, InstState::Waiting);
-            self.link_or_ready(seq);
+        self.slots[slot].pending = pending;
+        if pending == 0 {
+            set_bit(&mut self.ready, slot);
         }
     }
 
@@ -408,6 +579,12 @@ impl<S: InstructionStream> Cpu<S> {
         self.replay
             .pop_front()
             .unwrap_or_else(|| self.stream.next_inst())
+    }
+
+    fn push_fetched(&mut self, inst: SynthInst) {
+        let f = self.fetch_slot(self.fetch_tail);
+        self.fetch_ring[f] = inst;
+        self.fetch_tail += 1;
     }
 
     fn fetch(&mut self, controls: &PipelineControls, events: &mut CycleEvents) {
@@ -422,36 +599,35 @@ impl<S: InstructionStream> Cpu<S> {
             self.ifetch_stall -= 1;
             return;
         }
-        let room = self.config.fetch_buffer as usize - self.fetch_buffer.len();
+        let room = self.config.fetch_buffer as usize - self.fetch_len();
         let n = room.min(self.config.fetch_width as usize);
         if n == 0 {
             return;
         }
         // One I-cache access per fetch group (the group shares a line in
-        // this synthetic model; the stream's pc stride decides miss rates).
-        let mut fetched = 0;
-        let mut icache_checked = false;
-        for _ in 0..n {
-            let inst = self.next_instruction();
-            if !icache_checked {
-                icache_checked = true;
-                events.l1i_accesses += 1;
-                let r = self.caches.access_inst(inst.pc);
-                if r.level != ServiceLevel::L1 {
-                    if r.level == ServiceLevel::Memory {
-                        events.mem_accesses += 1;
-                    }
-                    events.l2_accesses += 1;
-                    // Stall fetch until the line returns; this instruction
-                    // still enters the buffer with the line.
-                    self.ifetch_stall = r.latency - self.config.l1i.latency;
-                }
+        // this synthetic model; the stream's pc stride decides miss rates),
+        // made by the group's first instruction.
+        let first = self.next_instruction();
+        events.l1i_accesses += 1;
+        let r = self.caches.access_inst(first.pc);
+        if r.level != ServiceLevel::L1 {
+            if r.level == ServiceLevel::Memory {
+                events.mem_accesses += 1;
             }
-            self.fetch_buffer.push_back(inst);
-            fetched += 1;
-            if self.ifetch_stall > 0 {
-                break; // the rest of the group waits for the I-miss
+            events.l2_accesses += 1;
+            // Stall fetch until the line returns; this instruction still
+            // enters the buffer with the line.
+            self.ifetch_stall = r.latency - self.config.l1i.latency;
+        }
+        self.push_fetched(first);
+        let mut fetched = 1;
+        // The rest of the group waits for an I-miss.
+        if self.ifetch_stall == 0 {
+            for _ in 1..n {
+                let inst = self.next_instruction();
+                self.push_fetched(inst);
             }
+            fetched = n as u32;
         }
         events.fetched = fetched;
     }
@@ -459,30 +635,26 @@ impl<S: InstructionStream> Cpu<S> {
     fn dispatch(&mut self, events: &mut CycleEvents) {
         let mut dispatched = 0;
         while dispatched < self.config.dispatch_width
-            && self.rob.len() < self.config.rob_entries as usize
+            && self.window_len() < self.config.rob_entries as u64
         {
-            let Some(&inst) = self.fetch_buffer.front() else {
-                break;
-            };
-            if inst.op.is_mem() && self.lsq_occupancy >= self.config.lsq_entries {
+            if self.fetch_head == self.fetch_tail {
                 break;
             }
-            self.fetch_buffer.pop_front();
-            if inst.op.is_mem() {
-                self.lsq_occupancy += 1;
+            let inst = &self.fetch_ring[self.fetch_slot(self.fetch_head)];
+            let is_mem = inst.op.is_mem();
+            if is_mem && self.lsq_occupancy >= self.config.lsq_entries {
+                break;
             }
+            let dists = [inst.src1_dist, inst.src2_dist];
             let seq = self.next_seq;
-            self.rob.push_back(RobEntry {
-                seq,
-                inst,
-                state: InstState::Waiting,
-                subs: NO_SUB,
-                next_sub: NO_SUB,
-            });
+            let slot = self.slot(seq);
+            self.slots[slot] = RobEntry::new(*inst);
+            self.fetch_head += 1;
+            self.lsq_occupancy += is_mem as u32;
             self.next_seq += 1;
             dispatched += 1;
             if self.scan == ScanMode::Event {
-                self.link_or_ready(seq);
+                self.link_sources(seq, dists);
             }
         }
         events.dispatched = dispatched;
@@ -493,19 +665,24 @@ impl<S: InstructionStream> Cpu<S> {
             self.stats.stalled_cycles += 1;
             return;
         }
+        // Nothing ready: no candidate could be picked, so skip building the
+        // picker (the common cycle of a full window waiting on memory).
+        if self.scan == ScanMode::Event && self.ready.iter().all(|&w| w == 0) {
+            return;
+        }
         let width = controls
             .issue_width_limit
             .map_or(self.config.issue_width, |w| w.min(self.config.issue_width));
         let ports = controls
             .mem_ports_limit
             .map_or(self.config.mem_ports, |p| p.min(self.config.mem_ports));
+        let fu = self.config.fu;
         let mut picker = IssuePicker {
-            usage: FuUsage::default(),
+            used: [0; 5],
+            limit: [fu.int_alu, fu.int_mul_div, fu.fp_alu, fu.fp_mul_div, ports],
             issued: 0,
             issued_current: 0.0,
             width,
-            ports,
-            fu: self.config.fu,
             cap: controls.issue_current_cap,
             int_div_free: self.int_div_busy_until <= self.cycle,
             fp_div_free: self.fp_div_busy_until <= self.cycle,
@@ -517,10 +694,8 @@ impl<S: InstructionStream> Cpu<S> {
             ScanMode::FullScan => self.select_by_scan(&mut picker, &mut to_issue),
         }
 
-        let front = self.rob.front().map_or(0, |f| f.seq);
-        for &seq in &to_issue {
-            let idx = (seq - front) as usize;
-            let inst = self.rob[idx].inst;
+        for &slot in &to_issue {
+            let inst = self.slots[slot].inst;
             let latency = self.execution_latency(&inst, events);
             match inst.op {
                 OpClass::IntDiv => self.int_div_busy_until = self.cycle + latency,
@@ -528,12 +703,10 @@ impl<S: InstructionStream> Cpu<S> {
                 _ => {}
             }
             let done_at = self.cycle + latency;
-            let e = &mut self.rob[idx];
-            debug_assert_eq!(e.seq, seq);
-            e.state = InstState::Executing { done_at };
+            self.slots[slot].state = InstState::Executing { done_at };
             events.issued[inst.op.index()] += 1;
             if self.scan == ScanMode::Event {
-                self.executing.push((done_at, seq));
+                self.schedule_done(done_at, slot);
             }
         }
         self.issue_scratch = to_issue;
@@ -541,72 +714,48 @@ impl<S: InstructionStream> Cpu<S> {
 
     /// The classic selection: walk the whole window oldest-first, checking
     /// readiness as we go.
-    fn select_by_scan(&mut self, picker: &mut IssuePicker, to_issue: &mut Vec<u64>) {
-        for idx in 0..self.rob.len() {
-            let e = &self.rob[idx];
+    fn select_by_scan(&mut self, picker: &mut IssuePicker, to_issue: &mut Vec<usize>) {
+        for seq in self.head..self.next_seq {
+            let slot = self.slot(seq);
+            let e = &self.slots[slot];
             if e.state != InstState::Waiting {
                 continue;
             }
-            if !(self.source_ready(e.seq, e.inst.src1_dist)
-                && self.source_ready(e.seq, e.inst.src2_dist))
+            if !(self.source_ready(seq, e.inst.src1_dist)
+                && self.source_ready(seq, e.inst.src2_dist))
             {
                 continue;
             }
             match picker.consider(e.inst.op) {
-                Verdict::Take => to_issue.push(e.seq),
+                Verdict::Take => to_issue.push(slot),
                 Verdict::Skip => {}
                 Verdict::Stop => break,
             }
         }
     }
 
-    /// Event-driven selection: the ready list holds exactly the waiting
-    /// entries whose sources are all complete, so sorting it ascending
-    /// reproduces the full scan's oldest-first candidate order.
-    fn select_from_ready(&mut self, picker: &mut IssuePicker, to_issue: &mut Vec<u64>) {
-        if self.ready.is_empty() {
-            return;
-        }
-        let mut ready = std::mem::take(&mut self.ready);
-        ready.sort_unstable();
-        let front = self
-            .rob
-            .front()
-            .expect("ready entries are in the window")
-            .seq;
-        let mut kept = 0usize;
-        let mut stopped = false;
-        for i in 0..ready.len() {
-            let seq = ready[i];
-            if stopped {
-                ready[kept] = seq;
-                kept += 1;
-                continue;
+    /// Event-driven selection: the ready set holds exactly the waiting
+    /// entries whose sources are all complete, so walking it from the
+    /// window head reproduces the full scan's oldest-first candidate order.
+    fn select_from_ready(&mut self, picker: &mut IssuePicker, to_issue: &mut Vec<usize>) {
+        let slots = &self.slots;
+        walk_ring(&self.ready, self.slot(self.head), |slot| {
+            debug_assert_eq!(slots[slot].state, InstState::Waiting);
+            match picker.consider(slots[slot].inst.op) {
+                Verdict::Take => to_issue.push(slot),
+                Verdict::Skip => {}
+                Verdict::Stop => return false,
             }
-            let idx = (seq - front) as usize;
-            let e = &self.rob[idx];
-            debug_assert_eq!(e.seq, seq);
-            debug_assert_eq!(e.state, InstState::Waiting);
-            match picker.consider(e.inst.op) {
-                Verdict::Take => to_issue.push(seq),
-                Verdict::Skip => {
-                    ready[kept] = seq;
-                    kept += 1;
-                }
-                Verdict::Stop => {
-                    ready[kept] = seq;
-                    kept += 1;
-                    stopped = true;
-                }
-            }
+            true
+        });
+        for &slot in to_issue.iter() {
+            self.ready[slot / SLOT_WORD] &= !(1 << (slot % SLOT_WORD));
         }
-        ready.truncate(kept);
-        self.ready = ready;
     }
 
     fn writeback(&mut self, events: &mut CycleEvents) {
         let mispredicted_branch = match self.scan {
-            ScanMode::Event => self.complete_from_executing(events),
+            ScanMode::Event => self.complete_from_ring(events),
             ScanMode::FullScan => self.complete_by_scan(events),
         };
         if let Some(seq) = mispredicted_branch {
@@ -615,10 +764,8 @@ impl<S: InstructionStream> Cpu<S> {
             self.stats.mispredicts += 1;
             // Clear the flag so the replayed world does not re-squash on
             // this same branch (it stays in the window, already resolved).
-            if let Some(front) = self.rob.front().map(|f| f.seq) {
-                let idx = (seq - front) as usize;
-                self.rob[idx].inst.mispredict = false;
-            }
+            let slot = self.slot(seq);
+            self.slots[slot].inst.mispredict = false;
             self.squash_younger_than(seq);
         }
     }
@@ -629,8 +776,9 @@ impl<S: InstructionStream> Cpu<S> {
     fn complete_by_scan(&mut self, events: &mut CycleEvents) -> Option<u64> {
         let cycle = self.cycle;
         let mut mispredicted_branch: Option<u64> = None;
-        let predictor = &mut self.predictor;
-        for e in self.rob.iter_mut() {
+        for seq in self.head..self.next_seq {
+            let slot = self.slot(seq);
+            let e = &mut self.slots[slot];
             if let InstState::Executing { done_at } = e.state {
                 if done_at <= cycle {
                     e.state = InstState::Completed;
@@ -641,7 +789,7 @@ impl<S: InstructionStream> Cpu<S> {
                         // direction. (Out-of-order resolution scrambles
                         // predictor history slightly, as speculative-update
                         // hardware does.)
-                        let mispredicted = match predictor {
+                        let mispredicted = match &mut self.predictor {
                             None => e.inst.mispredict,
                             Some(bp) => {
                                 let predicted = bp.predict(e.inst.pc);
@@ -649,7 +797,7 @@ impl<S: InstructionStream> Cpu<S> {
                             }
                         };
                         if mispredicted && mispredicted_branch.is_none() {
-                            mispredicted_branch = Some(e.seq);
+                            mispredicted_branch = Some(seq);
                         }
                     }
                 }
@@ -658,71 +806,77 @@ impl<S: InstructionStream> Cpu<S> {
         mispredicted_branch
     }
 
-    /// Event-driven completion: drain the executing list instead of
-    /// scanning the window. Entries are processed in ascending `seq` so
-    /// predictor updates and the choice of the redirecting branch happen
-    /// in window order, exactly as [`Cpu::complete_by_scan`] does.
-    fn complete_from_executing(&mut self, events: &mut CycleEvents) -> Option<u64> {
+    /// Event-driven completion: take this cycle's completion set from the
+    /// ring (plus any due overflow entries) instead of scanning the window.
+    /// The set is walked from the window head, so predictor updates and the
+    /// choice of the redirecting branch happen in window order, exactly as
+    /// [`Cpu::complete_by_scan`] does.
+    fn complete_from_ring(&mut self, events: &mut CycleEvents) -> Option<u64> {
         let cycle = self.cycle;
-        let mut completing = std::mem::take(&mut self.completing_scratch);
-        completing.clear();
-        let mut i = 0usize;
-        while i < self.executing.len() {
-            if self.executing[i].0 <= cycle {
-                completing.push(self.executing.swap_remove(i).1);
-            } else {
-                i += 1;
-            }
+        let words = self.ready.len();
+        let base = (cycle & self.done_mask) as usize * words;
+        let bucket = &mut self.done_ring[base..base + words];
+        if self.done_overflow.is_empty() && bucket.iter().all(|&w| w == 0) {
+            return None; // nothing completes this cycle
         }
-        completing.sort_unstable();
-        let mut mispredicted_branch: Option<u64> = None;
-        let predictor = &mut self.predictor;
-        for &seq in &completing {
-            let front = self
-                .rob
-                .front()
-                .expect("completing entries are in the window")
-                .seq;
-            let e = &mut self.rob[(seq - front) as usize];
-            debug_assert_eq!(e.seq, seq);
-            e.state = InstState::Completed;
-            events.completed += 1;
-            if e.inst.op == OpClass::Branch {
-                let mispredicted = match predictor {
-                    None => e.inst.mispredict,
-                    Some(bp) => {
-                        let predicted = bp.predict(e.inst.pc);
-                        bp.update(e.inst.pc, e.inst.taken, predicted)
-                    }
-                };
-                if mispredicted && mispredicted_branch.is_none() {
-                    mispredicted_branch = Some(seq);
+        let mut done = std::mem::take(&mut self.completing);
+        done.copy_from_slice(bucket);
+        bucket.fill(0);
+        if !self.done_overflow.is_empty() {
+            self.done_overflow.retain(|&(done_at, slot)| {
+                let due = done_at <= cycle;
+                if due {
+                    set_bit(&mut done, slot as usize);
                 }
-            }
+                !due
+            });
         }
-        // Wakeups run after every completion above so a consumer whose two
-        // producers both finished this cycle is seen ready on its first
-        // wake rather than re-subscribing to an already-finished producer.
-        for &seq in &completing {
-            self.wake_subscribers(seq);
+        let mut mispredicted_branch: Option<u64> = None;
+        if done.iter().any(|&w| w != 0) {
+            let (head, mask) = (self.head, self.slots.len() as u64 - 1);
+            let (slots, ready, predictor) = (&mut self.slots, &mut self.ready, &mut self.predictor);
+            walk_ring(&done, head as usize & mask as usize, |slot| {
+                let e = &mut slots[slot];
+                debug_assert!(
+                    matches!(e.state, InstState::Executing { done_at } if done_at <= cycle)
+                );
+                e.state = InstState::Completed;
+                events.completed += 1;
+                if e.inst.op == OpClass::Branch {
+                    let mispredicted = match predictor {
+                        None => e.inst.mispredict,
+                        Some(bp) => {
+                            let predicted = bp.predict(e.inst.pc);
+                            bp.update(e.inst.pc, e.inst.taken, predicted)
+                        }
+                    };
+                    if mispredicted && mispredicted_branch.is_none() {
+                        mispredicted_branch =
+                            Some(head + ((slot as u64).wrapping_sub(head) & mask));
+                    }
+                }
+                wake(slots, ready, slot);
+                true
+            });
         }
-        self.completing_scratch = completing;
+        self.completing = done;
         mispredicted_branch
     }
 
     fn commit(&mut self, events: &mut CycleEvents) {
         let mut committed = 0;
-        while committed < self.config.commit_width {
-            let Some(front) = self.rob.front() else { break };
-            if front.state != InstState::Completed {
+        while committed < self.config.commit_width && self.head < self.next_seq {
+            let e = &self.slots[self.slot(self.head)];
+            if e.state != InstState::Completed {
                 break;
             }
-            let e = self.rob.pop_front().expect("front exists");
-            if e.inst.op.is_mem() {
+            let inst = e.inst;
+            self.head += 1;
+            if inst.op.is_mem() {
                 self.lsq_occupancy -= 1;
-                if e.inst.op == OpClass::Store {
+                if inst.op == OpClass::Store {
                     // The store writes the data cache at commit.
-                    let r = self.caches.access_data(e.inst.addr);
+                    let r = self.caches.access_data(inst.addr);
                     events.l1d_accesses += 1;
                     if r.level != ServiceLevel::L1 {
                         events.l2_accesses += 1;
@@ -734,7 +888,7 @@ impl<S: InstructionStream> Cpu<S> {
                     }
                 }
             }
-            self.stats.committed_by_class[e.inst.op.index()] += 1;
+            self.stats.committed_by_class[inst.op.index()] += 1;
             committed += 1;
         }
         events.committed = committed;
@@ -751,9 +905,12 @@ impl<S: InstructionStream> Cpu<S> {
         self.issue(&controls, &mut events);
         self.dispatch(&mut events);
         self.fetch(&controls, &mut events);
-        events.rob_occupancy = self.rob.len() as u32;
-        events.phantom = controls.phantom;
         self.cycle += 1;
+        let events = CycleEvents {
+            rob_occupancy: self.window_len() as u32,
+            phantom: controls.phantom,
+            ..events
+        };
         self.stats.absorb(&events);
         events
     }
@@ -781,18 +938,23 @@ enum Verdict {
     Stop,
 }
 
+/// The functional-unit pool each class issues to, by [`OpClass::index`]:
+/// 0 integer ALUs (also branches), 1 integer multiply/divide, 2 FP ALUs,
+/// 3 FP multiply/divide, 4 memory ports.
+const POOL: [usize; 9] = [0, 1, 1, 2, 3, 3, 4, 4, 0];
+
 /// The per-cycle issue-admission state — width, functional-unit pools,
 /// memory ports, divider occupancy, and pipeline damping's issue-current
 /// cap. Both scan modes feed their candidates (oldest first) through the
 /// same `consider`, so their admission decisions are identical by
 /// construction.
 struct IssuePicker {
-    usage: FuUsage,
+    /// Units of each [`POOL`] taken this cycle, and how many there are.
+    used: [u32; 5],
+    limit: [u32; 5],
     issued: u32,
     issued_current: f64,
     width: u32,
-    ports: u32,
-    fu: crate::config::FuConfig,
     cap: Option<f64>,
     int_div_free: bool,
     fp_div_free: bool,
@@ -804,15 +966,13 @@ impl IssuePicker {
             return Verdict::Stop;
         }
         // Structural hazards.
-        let available = match op {
-            OpClass::IntAlu | OpClass::Branch => self.usage.int_alu < self.fu.int_alu,
-            OpClass::IntMul => self.usage.int_mul_div < self.fu.int_mul_div,
-            OpClass::IntDiv => self.usage.int_mul_div < self.fu.int_mul_div && self.int_div_free,
-            OpClass::FpAlu => self.usage.fp_alu < self.fu.fp_alu,
-            OpClass::FpMul => self.usage.fp_mul_div < self.fu.fp_mul_div,
-            OpClass::FpDiv => self.usage.fp_mul_div < self.fu.fp_mul_div && self.fp_div_free,
-            OpClass::Load | OpClass::Store => self.usage.mem_ports < self.ports,
-        };
+        let pool = POOL[op.index()];
+        let available = self.used[pool] < self.limit[pool]
+            && match op {
+                OpClass::IntDiv => self.int_div_free,
+                OpClass::FpDiv => self.fp_div_free,
+                _ => true,
+            };
         if !available {
             return Verdict::Skip;
         }
@@ -828,13 +988,7 @@ impl IssuePicker {
             }
             self.issued_current += est;
         }
-        match op {
-            OpClass::IntAlu | OpClass::Branch => self.usage.int_alu += 1,
-            OpClass::IntMul | OpClass::IntDiv => self.usage.int_mul_div += 1,
-            OpClass::FpAlu => self.usage.fp_alu += 1,
-            OpClass::FpMul | OpClass::FpDiv => self.usage.fp_mul_div += 1,
-            OpClass::Load | OpClass::Store => self.usage.mem_ports += 1,
-        }
+        self.used[pool] += 1;
         self.issued += 1;
         Verdict::Take
     }
@@ -863,8 +1017,8 @@ impl<S: InstructionStream> Cpu<S> {
     pub fn debug_state(&self) -> String {
         format!(
             "rob={} fb={} replay={} lsq={} redirect={} ifetch={} committed={}",
-            self.rob.len(),
-            self.fetch_buffer.len(),
+            self.window_len(),
+            self.fetch_len(),
             self.replay.len(),
             self.lsq_occupancy,
             self.redirect_stall,
@@ -1090,11 +1244,43 @@ mod tests {
     }
 
     #[test]
+    fn window_entry_fits_a_cache_line() {
+        assert!(std::mem::size_of::<RobEntry>() <= 64);
+    }
+
+    #[test]
     fn event_and_full_scan_schedulers_are_identical() {
-        // A stream mixing dependences, loads that miss, divides, and
-        // mispredicting branches, under controls that exercise width
-        // limits, port limits, stalls, and the damping cap: both
-        // schedulers must agree cycle-for-cycle.
+        let (committed, overflowed) = schedulers_agree(CpuConfig::isca04_table1());
+        assert!(committed > 10_000, "stream must make progress");
+        assert!(
+            !overflowed,
+            "fixed latencies must all fit the completion ring"
+        );
+    }
+
+    #[test]
+    fn event_and_full_scan_agree_under_a_miss_tracker() {
+        // Few MSHRs and a slow memory channel stretch miss latencies past
+        // the completion ring, onto the overflow list.
+        let mut config = CpuConfig::isca04_table1();
+        config.memory_system = Some(crate::memsys::MemorySystemConfig {
+            mshrs: 2,
+            mem_interval: 30,
+        });
+        let (committed, overflowed) = schedulers_agree(config);
+        assert!(committed > 1_000, "stream must make progress");
+        assert!(
+            overflowed,
+            "stretched latencies must exercise the overflow list"
+        );
+    }
+
+    /// Runs a stream mixing dependences, loads that miss, divides, and
+    /// mispredicting branches, under controls that exercise width limits,
+    /// port limits, stalls, and the damping cap: both schedulers must agree
+    /// cycle-for-cycle. Returns the instructions committed and whether
+    /// any completion went through the event scheduler's overflow list.
+    fn schedulers_agree(config: CpuConfig) -> (u64, bool) {
         let mut n = 0u64;
         let stream = move || {
             n += 1;
@@ -1119,19 +1305,18 @@ mod tests {
             },
             _ => PipelineControls::free(),
         };
-        let mut event = Cpu::with_scan_mode(CpuConfig::isca04_table1(), stream, ScanMode::Event);
-        let mut scan = Cpu::with_scan_mode(CpuConfig::isca04_table1(), stream, ScanMode::FullScan);
+        let mut event = Cpu::with_scan_mode(config, stream, ScanMode::Event);
+        let mut scan = Cpu::with_scan_mode(config, stream, ScanMode::FullScan);
+        let mut overflowed = false;
         for cycle in 0..30_000 {
             let a = event.tick(controls(cycle));
             let b = scan.tick(controls(cycle));
             assert_eq!(a, b, "cycle {cycle} events diverged");
+            overflowed |= !event.done_overflow.is_empty();
         }
         assert_eq!(event.stats(), scan.stats());
-        assert!(
-            event.stats().committed > 10_000,
-            "stream must make progress"
-        );
         assert!(event.stats().mispredicts > 10, "squashes must be exercised");
+        (event.stats().committed, overflowed)
     }
 
     #[test]

@@ -108,12 +108,79 @@ struct ModelStep {
 #[derive(Debug, Clone)]
 pub struct PowerModel {
     power: PowerConfig,
-    cpu: CpuConfig,
     l1d_spread: ActivitySpreader,
     l2_spread: ActivitySpreader,
     mem_spread: ActivitySpreader,
     fu_spread: ActivitySpreader,
-    detector_enabled: bool,
+    k: StepConstants,
+}
+
+/// The operands of every step that depend only on the configuration,
+/// computed once by the expressions the step would otherwise evaluate each
+/// cycle.
+#[derive(Debug, Clone, Copy)]
+struct StepConstants {
+    l1d_latency: u32,
+    l2_latency: u32,
+    memory_latency: u32,
+    mem_ports: f64,
+    /// `(class, latency, units)` of each long-latency functional unit.
+    fu_work: [(OpClass, u32, f64); 5],
+    fetch_width: f64,
+    dispatch_width: f64,
+    issue_width: f64,
+    rob_entries: f64,
+    /// `3 × issue_width`: register-file reads and writes per cycle.
+    regfile_width: f64,
+    int_alus: f64,
+    commit_width: f64,
+    /// The weight total and the dynamic current range.
+    norm: f64,
+    range: f64,
+    scale: f64,
+    idle: f64,
+    peak: f64,
+    /// Detection-hardware overhead current (0 when there is none).
+    detector_amps: f64,
+}
+
+impl StepConstants {
+    fn new(power: &PowerConfig, cpu: &CpuConfig) -> Self {
+        let lat = &cpu.latency;
+        let units = |n: u32| n as f64;
+        let norm = power.weights.total();
+        let range = power.dynamic_range().amps();
+        Self {
+            l1d_latency: cpu.l1d.latency,
+            l2_latency: cpu.l2.latency,
+            memory_latency: cpu.memory_latency,
+            mem_ports: cpu.mem_ports as f64,
+            fu_work: [
+                (OpClass::IntMul, lat.int_mul, units(cpu.fu.int_mul_div)),
+                (OpClass::IntDiv, lat.int_div, units(cpu.fu.int_mul_div)),
+                (OpClass::FpAlu, lat.fp_alu, units(cpu.fu.fp_alu)),
+                (OpClass::FpMul, lat.fp_mul, units(cpu.fu.fp_mul_div)),
+                (OpClass::FpDiv, lat.fp_div, units(cpu.fu.fp_mul_div)),
+            ],
+            fetch_width: cpu.fetch_width as f64,
+            dispatch_width: cpu.dispatch_width as f64,
+            issue_width: cpu.issue_width as f64,
+            rob_entries: cpu.rob_entries as f64,
+            regfile_width: 3.0 * cpu.issue_width as f64,
+            int_alus: cpu.fu.int_alu as f64,
+            commit_width: cpu.commit_width as f64,
+            norm,
+            range,
+            scale: range / norm,
+            idle: power.idle_current.amps(),
+            peak: power.peak_current.amps(),
+            detector_amps: if power.detector_overhead.amps() > 0.0 {
+                power.detector_overhead.amps()
+            } else {
+                0.0
+            },
+        }
+    }
 }
 
 impl PowerModel {
@@ -127,9 +194,8 @@ impl PowerModel {
         cpu.validate();
         let horizon = (cpu.memory_latency + cpu.l2.latency + cpu.l1d.latency + 2) as usize;
         Self {
-            detector_enabled: power.detector_overhead.amps() > 0.0,
+            k: StepConstants::new(&power, &cpu),
             power,
-            cpu,
             l1d_spread: ActivitySpreader::new(horizon),
             l2_spread: ActivitySpreader::new(horizon),
             mem_spread: ActivitySpreader::new(horizon),
@@ -151,6 +217,7 @@ impl PowerModel {
     /// [`PowerModel::breakdown_for`] — the total is fully determined before
     /// any per-structure attribution — but skips assembling the 13-entry
     /// [`CurrentBreakdown`], which the per-cycle hot loop never reads.
+    #[inline]
     pub fn current_for(&mut self, ev: &CycleEvents) -> Amps {
         Amps::new(self.step(ev).total)
     }
@@ -210,81 +277,65 @@ impl PowerModel {
     /// Advances the model by one cycle: schedules this cycle's spread
     /// activity, drains the spreaders, and computes the chip current. The
     /// single implementation behind both `current_for` and `breakdown_for`.
+    #[inline]
     fn step(&mut self, ev: &CycleEvents) -> ModelStep {
-        let w = self.power.weights;
-        let norm = w.total();
-        let cpu = self.cpu;
+        let w = &self.power.weights;
+        let k = &self.k;
 
         // Schedule the spread portions of this cycle's new events.
         // L1D accesses occupy the cache for its hit latency.
         if ev.l1d_accesses > 0 {
-            self.l1d_spread.schedule(
-                0,
-                cpu.l1d.latency,
-                ev.l1d_accesses as f64 / cpu.mem_ports as f64,
-            );
+            self.l1d_spread
+                .schedule(0, k.l1d_latency, ev.l1d_accesses as f64 / k.mem_ports);
         }
         // L2 accesses begin after the L1 latency and occupy the L2 pipeline.
         if ev.l2_accesses > 0 {
             self.l2_spread
-                .schedule(cpu.l1d.latency, cpu.l2.latency, ev.l2_accesses as f64);
+                .schedule(k.l1d_latency, k.l2_latency, ev.l2_accesses as f64);
         }
         // Memory accesses begin after L1+L2 and keep the bus/DRAM active.
         if ev.mem_accesses > 0 {
             self.mem_spread.schedule(
-                cpu.l1d.latency + cpu.l2.latency,
-                cpu.memory_latency,
+                k.l1d_latency + k.l2_latency,
+                k.memory_latency,
                 ev.mem_accesses as f64,
             );
         }
         // Long-latency functional units stay busy for their full latency.
-        let lat = &cpu.latency;
-        let fu_work = [
-            (OpClass::IntMul, lat.int_mul, cpu.fu.int_mul_div),
-            (OpClass::IntDiv, lat.int_div, cpu.fu.int_mul_div),
-            (OpClass::FpAlu, lat.fp_alu, cpu.fu.fp_alu),
-            (OpClass::FpMul, lat.fp_mul, cpu.fu.fp_mul_div),
-            (OpClass::FpDiv, lat.fp_div, cpu.fu.fp_mul_div),
-        ];
-        for (op, latency, units) in fu_work {
+        for (op, latency, units) in k.fu_work {
             let n = ev.issued_of(op);
             if n > 0 {
-                self.fu_spread.schedule(0, latency, n as f64 / units as f64);
+                self.fu_spread.schedule(0, latency, n as f64 / units);
             }
         }
 
         // Per-structure activity factors for this cycle.
         let clamp = |x: f64| x.clamp(0.0, 1.0);
         let issued_total = ev.issued_total() as f64;
-        let a_fetch = clamp(ev.fetched as f64 / cpu.fetch_width as f64);
-        let a_dispatch = clamp(ev.dispatched as f64 / cpu.dispatch_width as f64);
+        let a_fetch = clamp(ev.fetched as f64 / k.fetch_width);
+        let a_dispatch = clamp(ev.dispatched as f64 / k.dispatch_width);
         // Window energy: wakeup broadcast (completions) + selection (issued)
         // + CAM of occupied entries.
         let a_window = clamp(
-            0.5 * (issued_total + ev.completed as f64) / cpu.issue_width as f64
-                + 0.3 * ev.rob_occupancy as f64 / cpu.rob_entries as f64,
+            0.5 * (issued_total + ev.completed as f64) / k.issue_width
+                + 0.3 * ev.rob_occupancy as f64 / k.rob_entries,
         );
-        let a_regfile =
-            clamp((2.0 * issued_total + ev.completed as f64) / (3.0 * cpu.issue_width as f64));
+        let a_regfile = clamp((2.0 * issued_total + ev.completed as f64) / k.regfile_width);
         let a_int_alu = clamp(
-            (ev.issued_of(OpClass::IntAlu) + ev.issued_of(OpClass::Branch)) as f64
-                / cpu.fu.int_alu as f64,
+            (ev.issued_of(OpClass::IntAlu) + ev.issued_of(OpClass::Branch)) as f64 / k.int_alus,
         );
-        let a_int_mul = clamp(self.fu_spread_take_placeholder());
+        // The FP/int-mul spreader is shared; split it between the two FU
+        // weight buckets proportionally (int mul/div is a small share).
+        let fu_busy = clamp(self.fu_spread.drain_cycle());
+        let a_fp = fu_busy;
         let a_l1i = clamp(ev.l1i_accesses as f64);
         let a_l1d = clamp(self.l1d_spread.drain_cycle());
         let a_l2 = clamp(self.l2_spread.drain_cycle());
         let a_mem = clamp(self.mem_spread.drain_cycle());
-        let a_result = clamp(ev.completed as f64 / cpu.issue_width as f64);
-        let a_commit = clamp(ev.committed as f64 / cpu.commit_width as f64);
+        let a_result = clamp(ev.completed as f64 / k.issue_width);
+        let a_commit = clamp(ev.committed as f64 / k.commit_width);
 
-        // The FP/int-mul spreader is shared; split it between the two FU
-        // weight buckets proportionally (int mul/div is a small share).
-        let fu_busy = a_int_mul;
-        let a_fp = fu_busy;
-
-        let range = self.power.dynamic_range().amps();
-        let scale = range / norm;
+        let (range, scale) = (k.range, k.scale);
         let contributions = [
             w.fetch * a_fetch,
             w.dispatch * a_dispatch,
@@ -300,19 +351,16 @@ impl PowerModel {
             w.result_bus * a_result,
             w.commit * a_commit,
         ];
-        let weighted: f64 = contributions.iter().sum::<f64>() / norm;
-        let mut current = self.power.idle_current.amps() + range * clamp(weighted);
+        let weighted: f64 = contributions.iter().sum::<f64>() / k.norm;
+        let mut current = k.idle + range * clamp(weighted);
 
         // Phantom operations hold the chip at a current floor.
         let mut phantom_amps = 0.0;
         if let Some(level) = ev.phantom {
             let target = match level {
-                PhantomLevel::Medium => self.power.idle_current.amps() + 0.5 * range,
-                PhantomLevel::High => self.power.idle_current.amps() + 0.95 * range,
-                PhantomLevel::Floor(amps) => (amps as f64).clamp(
-                    self.power.idle_current.amps(),
-                    self.power.peak_current.amps(),
-                ),
+                PhantomLevel::Medium => k.idle + 0.5 * range,
+                PhantomLevel::High => k.idle + 0.95 * range,
+                PhantomLevel::Floor(amps) => (amps as f64).clamp(k.idle, k.peak),
             };
             if target > current {
                 phantom_amps = target - current;
@@ -320,11 +368,7 @@ impl PowerModel {
             }
         }
 
-        let detector_amps = if self.detector_enabled {
-            self.power.detector_overhead.amps()
-        } else {
-            0.0
-        };
+        let detector_amps = k.detector_amps;
         current += detector_amps;
 
         ModelStep {
@@ -335,11 +379,6 @@ impl PowerModel {
             detector_amps,
             total: current,
         }
-    }
-
-    /// Drains the shared long-latency FU spreader for this cycle.
-    fn fu_spread_take_placeholder(&mut self) -> f64 {
-        self.fu_spread.drain_cycle()
     }
 
     /// The medium current level phantom operations maintain (midpoint of the

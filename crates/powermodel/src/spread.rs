@@ -8,10 +8,15 @@
 //! lasting `duration` cycles is delivered as `amount/duration` per cycle.
 
 /// A ring buffer of future per-cycle activity contributions for one
-/// structure.
+/// structure. The ring is a power of two at least `horizon` long, so
+/// advancing and placing are masked, not divided.
 #[derive(Debug, Clone)]
 pub struct ActivitySpreader {
     ring: Vec<f64>,
+    mask: usize,
+    /// The furthest offset a contribution lands at (`horizon − 1`); later
+    /// ones are clamped to it.
+    last: usize,
     head: usize,
 }
 
@@ -23,8 +28,11 @@ impl ActivitySpreader {
     /// Panics if `horizon` is zero.
     pub fn new(horizon: usize) -> Self {
         assert!(horizon > 0, "spreader horizon must be nonzero");
+        let slots = horizon.next_power_of_two();
         Self {
-            ring: vec![0.0; horizon],
+            ring: vec![0.0; slots],
+            mask: slots - 1,
+            last: horizon - 1,
             head: 0,
         }
     }
@@ -32,23 +40,37 @@ impl ActivitySpreader {
     /// Schedules `amount` of activity spread evenly over `duration` cycles
     /// beginning `delay` cycles from now. Contributions beyond the horizon
     /// are clamped to the last slot (never dropped, so energy is conserved).
+    #[inline]
     pub fn schedule(&mut self, delay: u32, duration: u32, amount: f64) {
         debug_assert!(amount >= 0.0, "activity must be non-negative");
-        let duration = duration.max(1);
+        let duration = duration.max(1) as usize;
         let per_cycle = amount / duration as f64;
-        let n = self.ring.len();
-        for k in 0..duration {
-            let offset = ((delay + k) as usize).min(n - 1);
-            let slot = (self.head + offset) % n;
-            self.ring[slot] += per_cycle;
+        let start = delay as usize;
+        // Offsets before the last slot each get one share, in at most two
+        // contiguous runs of the ring; every later offset adds its share to
+        // the last slot, one addition at a time.
+        let direct = duration.min(self.last.saturating_sub(start));
+        if direct > 0 {
+            let from = (self.head + start) & self.mask;
+            let first = direct.min(self.ring.len() - from);
+            for slot in &mut self.ring[from..from + first] {
+                *slot += per_cycle;
+            }
+            for slot in &mut self.ring[..direct - first] {
+                *slot += per_cycle;
+            }
+        }
+        let last = (self.head + self.last) & self.mask;
+        for _ in direct..duration {
+            self.ring[last] += per_cycle;
         }
     }
 
     /// Pops the activity that lands in the current cycle and advances time.
+    #[inline]
     pub fn drain_cycle(&mut self) -> f64 {
-        let v = self.ring[self.head];
-        self.ring[self.head] = 0.0;
-        self.head = (self.head + 1) % self.ring.len();
+        let v = std::mem::replace(&mut self.ring[self.head], 0.0);
+        self.head = (self.head + 1) & self.mask;
         v
     }
 
@@ -134,6 +156,92 @@ mod tests {
         s.drain_cycle();
         s.drain_cycle();
         assert!((s.pending() - 1.5).abs() < 1e-12);
+    }
+
+    /// The spreader before the masked rewrite, kept verbatim as the oracle
+    /// the differential test compares against.
+    mod oracle {
+        /// A ring buffer of future per-cycle activity contributions for one
+        /// structure.
+        #[derive(Debug, Clone)]
+        pub struct ActivitySpreader {
+            ring: Vec<f64>,
+            head: usize,
+        }
+
+        impl ActivitySpreader {
+            /// Creates a spreader able to schedule up to `horizon` cycles ahead.
+            ///
+            /// # Panics
+            ///
+            /// Panics if `horizon` is zero.
+            pub fn new(horizon: usize) -> Self {
+                assert!(horizon > 0, "spreader horizon must be nonzero");
+                Self {
+                    ring: vec![0.0; horizon],
+                    head: 0,
+                }
+            }
+
+            /// Schedules `amount` of activity spread evenly over `duration` cycles
+            /// beginning `delay` cycles from now. Contributions beyond the horizon
+            /// are clamped to the last slot (never dropped, so energy is conserved).
+            pub fn schedule(&mut self, delay: u32, duration: u32, amount: f64) {
+                debug_assert!(amount >= 0.0, "activity must be non-negative");
+                let duration = duration.max(1);
+                let per_cycle = amount / duration as f64;
+                let n = self.ring.len();
+                for k in 0..duration {
+                    let offset = ((delay + k) as usize).min(n - 1);
+                    let slot = (self.head + offset) % n;
+                    self.ring[slot] += per_cycle;
+                }
+            }
+
+            /// Pops the activity that lands in the current cycle and advances time.
+            pub fn drain_cycle(&mut self) -> f64 {
+                let v = self.ring[self.head];
+                self.ring[self.head] = 0.0;
+                self.head = (self.head + 1) % self.ring.len();
+                v
+            }
+        }
+    }
+
+    /// A seeded splitmix64 stream for the differential test.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn matches_the_pre_rewrite_spreader_cycle_for_cycle() {
+        // Horizons below, at, and past a power of two (96 is the Table 1
+        // machine's); delays and durations reach past the horizon so the
+        // clamp to the last slot is exercised.
+        for (seed, horizon) in [(1u64, 96usize), (2, 64), (3, 5), (4, 1), (5, 130)] {
+            let mut got = ActivitySpreader::new(horizon);
+            let mut want = oracle::ActivitySpreader::new(horizon);
+            let mut rng = seed;
+            let reach = 2 * horizon as u64 + 4;
+            for c in 0..5_000 {
+                for _ in 0..splitmix(&mut rng) % 4 {
+                    let delay = (splitmix(&mut rng) % reach) as u32;
+                    let duration = (splitmix(&mut rng) % reach) as u32;
+                    let amount = (splitmix(&mut rng) % 1000) as f64 / 7.0;
+                    got.schedule(delay, duration, amount);
+                    want.schedule(delay, duration, amount);
+                }
+                assert_eq!(
+                    got.drain_cycle().to_bits(),
+                    want.drain_cycle().to_bits(),
+                    "horizon {horizon} cycle {c}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod stream;
 pub mod trace;
 
 pub use corpus::CorpusReplay;
-pub use profile::{Episode, OpMix, WorkloadProfile};
+pub use profile::{Episode, OpMix, OpSampler, WorkloadProfile};
 pub use store::{shared_stream, SharedStream};
 pub use stream::StreamGen;
 pub use trace::{RecordedTrace, TraceReplay, TraceSummary};

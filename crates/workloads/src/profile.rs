@@ -87,9 +87,17 @@ impl OpMix {
     ///
     /// Panics if all weights are zero or any is negative.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> OpClass {
+        self.sampler().sample(rng)
+    }
+
+    /// Checks and totals the weights once, for drawing many samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics if all weights are zero or any is negative.
+    pub fn sampler(&self) -> OpSampler {
         let total = self.total();
         assert!(total > 0.0, "op mix must have positive total weight");
-        let mut x = rng.gen_range(0.0..total);
         let buckets = [
             (self.int_alu, OpClass::IntAlu),
             (self.int_mul, OpClass::IntMul),
@@ -101,8 +109,26 @@ impl OpMix {
             (self.store, OpClass::Store),
             (self.branch, OpClass::Branch),
         ];
-        for (w, op) in buckets {
+        for (w, _) in buckets {
             assert!(w >= 0.0, "op-mix weights must be non-negative");
+        }
+        OpSampler { total, buckets }
+    }
+}
+
+/// An [`OpMix`] whose weights were checked and totalled once
+/// ([`OpMix::sampler`]); draws exactly what [`OpMix::sample`] draws.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OpSampler {
+    total: f64,
+    buckets: [(f64, OpClass); 9],
+}
+
+impl OpSampler {
+    /// Samples an operation class proportionally to the weights.
+    pub fn sample<R: Rng>(&self, rng: &mut R) -> OpClass {
+        let mut x = rng.gen_range(0.0..self.total);
+        for (w, op) in self.buckets {
             if x < w {
                 return op;
             }

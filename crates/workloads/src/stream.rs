@@ -10,7 +10,7 @@ use cpusim::OpClass;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::profile::WorkloadProfile;
+use crate::profile::{OpSampler, WorkloadProfile};
 
 /// Address-space layout of the synthetic program.
 pub mod layout {
@@ -60,6 +60,19 @@ where
     caches.reset_stats();
 }
 
+/// `((1 + floor(r)) as u32).clamp(1, 96)` without the libm `floor` call:
+/// for 0 ≤ r < 96 the floor is the truncating cast; below 0 (and for NaN)
+/// the result is 1, at 96 and above it is 96.
+fn geometric_steps(r: f64) -> u32 {
+    if (0.0..96.0).contains(&r) {
+        1 + r as u32
+    } else if r >= 96.0 {
+        96
+    } else {
+        1
+    }
+}
+
 /// Generator phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -89,6 +102,11 @@ enum Mode {
 #[derive(Debug, Clone)]
 pub struct StreamGen {
     profile: WorkloadProfile,
+    /// The profile's op mix, checked and totalled once.
+    ops: OpSampler,
+    /// `ln(1 − p)` of the geometric dependence-distance distribution with
+    /// mean `profile.mean_dep`; `None` when `p` is 1 (every distance is 1).
+    dep_ln_q: Option<f64>,
     rng: StdRng,
     mode: Mode,
     /// Periods remaining in the current episode (counting the active one).
@@ -112,7 +130,10 @@ impl StreamGen {
     pub fn new(profile: WorkloadProfile) -> Self {
         profile.validate();
         let replay = crate::corpus::CorpusReplay::for_profile(&profile);
+        let p = (1.0 / profile.mean_dep).clamp(1e-6, 1.0);
         Self {
+            ops: profile.mix.sampler(),
+            dep_ln_q: (p < 1.0).then(|| (1.0 - p).ln()),
             rng: StdRng::seed_from_u64(profile.seed),
             profile,
             mode: Mode::Normal,
@@ -141,15 +162,14 @@ impl StreamGen {
         self.replay.is_none() && self.mode != Mode::Normal
     }
 
-    fn geometric_dist(&mut self, mean: f64) -> u32 {
-        // Geometric with mean `mean` (support 1..): 1 + floor(ln U / ln(1-p)).
-        let p = (1.0 / mean).clamp(1e-6, 1.0);
-        if p >= 1.0 {
+    /// A dependence distance: geometric with mean `profile.mean_dep`
+    /// (support 1..), `1 + floor(ln U / ln(1-p))`.
+    fn dependence_distance(&mut self) -> u32 {
+        let Some(ln_q) = self.dep_ln_q else {
             return 1;
-        }
+        };
         let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        let d = 1.0 + (u.ln() / (1.0 - p).ln()).floor();
-        (d as u32).clamp(1, 96)
+        geometric_steps(u.ln() / ln_q)
     }
 
     fn data_address(&mut self) -> u64 {
@@ -216,12 +236,12 @@ impl StreamGen {
     }
 
     fn normal_instruction(&mut self) -> SynthInst {
-        let op = self.profile.mix.sample(&mut self.rng);
+        let op = self.ops.sample(&mut self.rng);
         let mut inst = SynthInst {
             op,
-            src1_dist: self.geometric_dist(self.profile.mean_dep),
+            src1_dist: self.dependence_distance(),
             src2_dist: if self.rng.gen_bool(0.5) {
-                self.geometric_dist(self.profile.mean_dep)
+                self.dependence_distance()
             } else {
                 0
             },
@@ -372,6 +392,37 @@ impl InstructionStream for StreamGen {
 mod tests {
     use super::*;
     use crate::profile::{Episode, OpMix, WorkloadProfile};
+
+    #[test]
+    fn geometric_steps_matches_the_floor_formula() {
+        let want = |r: f64| ((1.0 + r.floor()) as u32).clamp(1, 96);
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            1.0,
+            95.0,
+            95.99999999999999,
+            96.0,
+            96.5,
+            1e300,
+            f64::INFINITY,
+            -0.5,
+            -1.0,
+            -1e300,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut rng = StdRng::seed_from_u64(11);
+        let ratios = (0..100_000).map(|_| {
+            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+            let mean: f64 = rng.gen_range(1.0..40.0);
+            u.ln() / (1.0 - (1.0 / mean).clamp(1e-6, 1.0)).ln()
+        });
+        for r in edges.into_iter().chain(ratios) {
+            assert_eq!(geometric_steps(r), want(r), "r = {r:e}");
+        }
+    }
 
     fn base_profile() -> WorkloadProfile {
         WorkloadProfile {
